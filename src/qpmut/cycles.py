@@ -45,25 +45,11 @@ class Potential:
     def degree2_part(self) -> "Potential":
         return Potential(self.jet.length_part(2))
 
-    def part_of_min_length(self, d: int) -> "Potential":
-        return Potential(
-            JetPoly(
-                self.space,
-                {p: c for p, c in self.jet.terms.items() if p.length >= d},
-            )
-        )
-
     def max_length(self) -> int:
         return self.jet.max_length() or 0
 
     def terms(self) -> dict[Path, object]:
         return self.jet.terms
-
-    def arrows_used(self) -> set[str]:
-        out: set[str] = set()
-        for p in self.jet.terms:
-            out.update(p.arrows)
-        return out
 
     def __repr__(self):
         return f"Potential({self.jet!r})"

@@ -12,7 +12,7 @@ import random
 from .cycles import cyclic_derivative, cyclic_normalize
 from .fields import QQ, Field
 from .jets import JetSpace
-from .linalg import Mat, hstack, independent_columns, subspace_package
+from .linalg import Mat, block_diag, hstack, independent_columns, subspace_package
 from .qp import QP
 from .quiver import Arrow, Path, Quiver
 from .reps import DecRep
@@ -76,15 +76,6 @@ def random_qp(
         if all(p.length >= 2 for p in pot.terms()):
             return QP(q, pot)
     raise RuntimeError("failed to generate a QP")
-
-
-def random_qp_with_potential(rng: random.Random, **kw) -> QP:
-    """Like random_qp but retries until the potential is nonzero."""
-    for _ in range(300):
-        qp = random_qp(rng, **kw)
-        if not qp.potential.is_zero():
-            return qp
-    raise RuntimeError("failed to generate a QP with nonzero potential")
 
 
 def _enumerate_paths_from(q: Quiver, ell: int, max_len: int) -> list[Path]:
@@ -192,18 +183,7 @@ def direct_sum(reps: list[DecRep]) -> DecRep:
     fld = qp.field
     dims = {v: sum(r.dims[v] for r in reps) for v in qp.quiver.vertices}
     dec = {v: sum(r.dec_dims[v] for r in reps) for v in qp.quiver.vertices}
-    maps = {}
-    for a in qp.quiver.arrows:
-        m = Mat.zero(fld, dims[a.head], dims[a.tail])
-        ro = co = 0
-        for r in reps:
-            blk = r.maps[a.id]
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    m.data[ro + i][co + j] = blk.data[i][j]
-            ro += blk.rows
-            co += blk.cols
-        maps[a.id] = m
+    maps = {a.id: block_diag(fld, [r.maps[a.id] for r in reps]) for a in qp.quiver.arrows}
     return DecRep(qp, dims, maps, dec)
 
 

@@ -35,13 +35,6 @@ class JetSpace:
     def idempotent(self, v: int) -> "JetPoly":
         return JetPoly(self, {lazy_path(v): self.field.one})
 
-    def complement_idempotent(self, k: int) -> "JetPoly":
-        """e_khat = 1 - e_k."""
-        return JetPoly(
-            self,
-            {lazy_path(v): self.field.one for v in self.quiver.vertices if v != k},
-        )
-
     def arrow(self, aid: str) -> "JetPoly":
         a = self.quiver.arrow(aid)
         return JetPoly(self, {Path((aid,), a.tail, a.head): self.field.one})
@@ -159,9 +152,6 @@ class JetPoly:
 
     def length_part(self, d: int) -> "JetPoly":
         return JetPoly(self.space, {p: c for p, c in self.terms.items() if p.length == d})
-
-    def min_length(self) -> int | None:
-        return min((p.length for p in self.terms), default=None)
 
     def max_length(self) -> int | None:
         return max((p.length for p in self.terms), default=None)

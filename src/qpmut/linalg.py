@@ -1,8 +1,10 @@
 """Exact dense linear algebra over a field.
 
-Matrices are small and dense; rows/columns may be zero-sized.  Elimination
-always picks the leftmost pivot in the topmost available row, so every basis,
-retraction and quotient produced here is deterministic.
+Matrices are small and dense; rows/columns may be zero-sized.  Every answer
+is read off one reduced row echelon form, which is unique, so every basis,
+retraction and quotient produced here is deterministic.  The complement of a
+subspace is spanned by the standard basis vectors at the pivot columns of
+[basis | I] past the basis itself.
 """
 
 from __future__ import annotations
@@ -177,16 +179,7 @@ class Mat:
 
     def kernel_basis(self) -> "Mat":
         """Columns form a basis of the null space (deterministic)."""
-        R, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for j in free:
-            v = [self.field.zero] * self.cols
-            v[j] = self.field.one
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.data[r][j]
-            basis.append(v)
-        return Mat(self.field, [[b[i] for b in basis] for i in range(self.cols)]) if basis else Mat.zero(self.field, self.cols, 0)
+        return kernel_from_rref(*self.rref())
 
     def image_basis(self) -> "Mat":
         """Columns: the pivot columns of the original matrix."""
@@ -219,6 +212,20 @@ class Mat:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+def kernel_from_rref(R: Mat, pivots: list[int]) -> Mat:
+    """Null-space basis of any matrix whose RREF is (R, pivots): one column
+    per free index j, with 1 at j and -R[row][j] at each pivot column."""
+    field = R.field
+    pivot_set = set(pivots)
+    free = [j for j in range(R.cols) if j not in pivot_set]
+    out = Mat.zero(field, R.cols, len(free))
+    for c, j in enumerate(free):
+        out.data[j][c] = field.one
+        for row, pc in enumerate(pivots):
+            out.data[pc][c] = -R.data[row][j]
+    return out
 
 
 # -- block assembly ----------------------------------------------------
@@ -256,6 +263,18 @@ def block_matrix(field: Field, grid: list[list[Mat]]) -> Mat:
     return vstack(field, [hstack(field, row) for row in grid])
 
 
+def block_diag(field: Field, mats: list[Mat]) -> Mat:
+    """The block-diagonal matrix with ``mats`` along the diagonal, in order."""
+    out = Mat.zero(field, sum(m.rows for m in mats), sum(m.cols for m in mats))
+    ro = co = 0
+    for m in mats:
+        for i, row in enumerate(m.data):
+            out.data[ro + i][co:co + m.cols] = row
+        ro += m.rows
+        co += m.cols
+    return out
+
+
 # -- subspaces ---------------------------------------------------------
 def independent_columns(m: Mat) -> Mat:
     return m.image_basis()
@@ -269,32 +288,19 @@ def subspace_package(basis: Mat):
       proj       : coordinates on the quotient k^n / U
       section    : coset representatives, proj @ section = I, proj @ basis = 0
 
-    The complement is spanned by standard basis vectors chosen greedily by
-    index, so everything is deterministic.
+    Everything is read off one RREF of [basis | I]: the complement is spanned
+    by the standard basis vectors at its pivot columns past the first r, and
+    the right-hand block is [basis | section]^-1, whose first r rows are the
+    retraction and whose remaining rows are proj.
     """
     field = basis.field
     n = basis.rows
     r = basis.cols
-    chosen: list[int] = []
-    work = basis
-    cur_rank = basis.rank()
-    if cur_rank != r:
+    R, pivots = hstack(field, [basis, Mat.identity(field, n)], rows=n).rref()
+    if pivots[:r] != list(range(r)):
         raise ShapeError("basis columns are dependent")
-    for i in range(n):
-        if len(chosen) == n - r:
-            break
-        e = Mat.zero(field, n, 1)
-        e.data[i][0] = field.one
-        cand = hstack(field, [work, e])
-        if cand.rank() > cur_rank:
-            chosen.append(i)
-            work = cand
-            cur_rank += 1
-    section = Mat.zero(field, n, n - r)
-    for j, i in enumerate(chosen):
-        section.data[i][j] = field.one
-    full = hstack(field, [basis, section])
-    inv = full.inverse()
+    section = Mat.identity(field, n).take_cols([p - r for p in pivots[r:]])
+    inv = R.take_cols(list(range(r, r + n)))
     retraction = inv.take_rows(list(range(r)))
     proj = inv.take_rows(list(range(r, n)))
     return retraction, proj, section

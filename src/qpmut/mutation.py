@@ -11,7 +11,7 @@ along the splitting substitution of the premutated potential.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cycles import cyclic_normalize, cyclically_equivalent
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     MutationNotDefined,
     TruncationTooSmall,
 )
-from .linalg import Mat, block_matrix, coords_in, hstack, subspace_package, vstack
+from .linalg import Mat, block_diag, block_matrix, coords_in, hstack, subspace_package, vstack
 from .qp import QP, composite_name, mutate_qp, premutate_qp, star_name
 from .reps import DecRep, TrianglePack, build_triangle, check_module, component_action
 from .subst import ArrowSubstitution
@@ -230,29 +230,9 @@ def _scramble_choices(t: TrianglePack, seed: int) -> TrianglePack:
     new_rho = t.rho + z - ((z @ t.ker_gamma) @ t.rho)
     w = rand_mat(t.im_gamma_in_keralpha.cols, t.pi2.rows)
     new_sigma = t.sigma + t.im_gamma_in_keralpha @ w
-    # refresh s_section, which is derived from rho
-    pre_cols = []
-    _, pivots = t.gamma.rref()
-    for j in pivots:
-        e = Mat.zero(fld, t.d_out, 1)
-        e.data[j][0] = fld.one
-        pre_cols.append(e)
-    pre = hstack(fld, pre_cols, rows=t.d_out) if pre_cols else Mat.zero(fld, t.d_out, 0)
-    new_s = pre - (t.ker_gamma @ (new_rho @ pre))
-    return TrianglePack(
-        k=t.k, in_arrows=t.in_arrows, out_arrows=t.out_arrows,
-        in_dims=t.in_dims, out_dims=t.out_dims,
-        alpha=t.alpha, beta=t.beta, gamma=t.gamma,
-        ker_alpha=t.ker_alpha, ker_gamma=t.ker_gamma, rho=new_rho,
-        im_beta=t.im_beta, im_gamma=t.im_gamma,
-        im_gamma_in_keralpha=t.im_gamma_in_keralpha,
-        gamma_in_keralpha=t.gamma_in_keralpha,
-        gamma_in_imgamma=t.gamma_in_imgamma,
-        coker_p=t.coker_p, coker_sec=t.coker_sec,
-        pi1=t.pi1, s1=t.s1, pi2=t.pi2, sigma=new_sigma,
-        s_section=new_s, ker_beta=t.ker_beta,
-        kerbeta_cap_imalpha=t.kerbeta_cap_imalpha,
-    )
+    # s_section - K (new_rho s_section) is the section with new_rho @ s = 0
+    new_s = t.s_section - t.ker_gamma @ (new_rho @ t.s_section)
+    return replace(t, rho=new_rho, sigma=new_sigma, s_section=new_s)
 
 
 @dataclass
@@ -270,15 +250,6 @@ def check_beta_alpha(pm: PremutedRep) -> BetaAlphaReport:
     if prod != -t.gamma:
         failures.append("reversed-arrow composition differs from -gamma")
     return BetaAlphaReport(ok=not failures, failures=failures)
-
-
-def _block_starts(blocks: list[tuple[str, int]]) -> dict[str, int]:
-    out = {}
-    off = 0
-    for name, d in blocks:
-        out[name] = off
-        off += d
-    return out
 
 
 def construction_iso(pm_from: PremutedRep, pm_to: PremutedRep) -> dict[int, Mat]:
@@ -473,20 +444,6 @@ def mutate_rep(rep: DecRep, k: int, construction: str = "ker_alpha") -> DecRep:
 # isomorphism transport (mutation preserves isomorphism, constructively)
 # ---------------------------------------------------------------------------
 
-def _block_diag(fld, mats: list[Mat]) -> Mat:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = Mat.zero(fld, rows, cols)
-    ro = co = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out.data[ro + i][co + j] = m.data[i][j]
-        ro += m.rows
-        co += m.cols
-    return out
-
-
 def transport_iso(
     m_from: DecRep,
     m_to: DecRep,
@@ -508,10 +465,8 @@ def transport_iso(
     pm_n = premutate_rep(m_to, k, "coker_beta")
     tm, tn = pm_m.triangle, pm_n.triangle
 
-    f_in = _block_diag(fld, [f[m_from.qp.quiver.tail(a)] for a in tm.in_arrows]) \
-        if tm.in_arrows else Mat.zero(fld, 0, 0)
-    f_out = _block_diag(fld, [f[m_from.qp.quiver.head(b)] for b in tm.out_arrows]) \
-        if tm.out_arrows else Mat.zero(fld, 0, 0)
+    f_in = block_diag(fld, [f[m_from.qp.quiver.tail(a)] for a in tm.in_arrows])
+    f_out = block_diag(fld, [f[m_from.qp.quiver.head(b)] for b in tm.out_arrows])
 
     # induced maps on coker beta and on ker alpha / im gamma
     f_out_bar = tn.coker_p @ (f_out @ tm.coker_sec)

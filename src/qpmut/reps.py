@@ -19,6 +19,7 @@ from .linalg import (
     hstack,
     independent_columns,
     intersect_column_spaces,
+    kernel_from_rref,
     subspace_package,
     vstack,
 )
@@ -59,9 +60,6 @@ class DecRep:
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def dim_vector(self) -> dict[int, int]:
-        return dict(self.dims)
 
     def same_context(self, other: "DecRep") -> bool:
         return self.qp == other.qp
@@ -277,16 +275,22 @@ def build_triangle(rep: DecRep, k: int) -> TrianglePack:
     if not (alpha @ gamma).is_zero() or not (gamma @ beta).is_zero():
         raise InvariantError("triangle identities fail; module is invalid at k")
 
-    ker_alpha = alpha.kernel_basis()
-    ker_gamma = gamma.kernel_basis()
+    # one elimination per map; kernels, images, ranks and pivots come from it
+    r_alpha, piv_alpha = alpha.rref()
+    r_beta, piv_beta = beta.rref()
+    r_gamma, piv_gamma = gamma.rref()
+    ker_alpha = kernel_from_rref(r_alpha, piv_alpha)
+    ker_beta = kernel_from_rref(r_beta, piv_beta)
+    ker_gamma = kernel_from_rref(r_gamma, piv_gamma)
+    im_alpha = alpha.take_cols(piv_alpha)
+    im_beta = beta.take_cols(piv_beta)
+    im_gamma = gamma.take_cols(piv_gamma)
     rho, _, _ = subspace_package(ker_gamma)
-    im_beta = beta.image_basis()
-    im_gamma = gamma.image_basis()
 
     # rank-nullity bookkeeping, checked on every build
-    if ker_alpha.cols + alpha.rank() != d_in:
+    if ker_alpha.cols + im_alpha.cols != d_in:
         raise InvariantError("rank-nullity violated for the incoming map")
-    if beta.kernel_basis().cols + im_beta.cols != dk:
+    if ker_beta.cols + im_beta.cols != dk:
         raise InvariantError("rank-nullity violated for the outgoing map")
     if ker_gamma.cols + im_gamma.cols != d_out:
         raise InvariantError("rank-nullity violated for the derivative map")
@@ -302,17 +306,9 @@ def build_triangle(rep: DecRep, k: int) -> TrianglePack:
     _, coker_p, coker_sec = subspace_package(im_beta)
 
     # s_section: im gamma coords -> M_out with gamma @ s = im_gamma and rho @ s = 0
-    pre = []
-    _, pivots = gamma.rref()
-    for j in pivots:
-        e = Mat.zero(fld, d_out, 1)
-        e.data[j][0] = fld.one
-        pre.append(e)
-    pre_mat = hstack(fld, pre, rows=d_out) if pre else Mat.zero(fld, d_out, 0)
+    pre_mat = Mat.identity(fld, d_out).take_cols(piv_gamma)
     s_section = pre_mat - (ker_gamma @ (rho @ pre_mat)) if ker_gamma.cols else pre_mat
 
-    ker_beta = beta.kernel_basis()
-    im_alpha = alpha.image_basis()
     cap = intersect_column_spaces(ker_beta, im_alpha)
 
     return TrianglePack(

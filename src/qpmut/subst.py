@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import ContextError, InvariantError, NotInvertibleError
 from .fields import Field
 from .jets import JetPoly, JetSpace
+from .linalg import Mat
 from .quiver import Path, Quiver
 
 
@@ -195,13 +196,14 @@ def invert_substitution(phi: ArrowSubstitution) -> ArrowSubstitution:
     for key, (ids, cols, mat) in _linear_part_blocks(phi).items():
         if ids != cols:
             raise ContextError("source and target parallel classes differ")
-        inv = _invert_square(mat, field)
-        if inv is None:
-            raise NotInvertibleError(f"singular linear part on class {key}")
+        try:
+            inv = Mat(field, mat).inverse()
+        except NotInvertibleError:
+            raise NotInvertibleError(f"singular linear part on class {key}") from None
         for j, aid in enumerate(ids):
             img = space.zero()
             for i, bid in enumerate(ids):
-                img = img + space.arrow(bid).scale(inv[i][j])
+                img = img + space.arrow(bid).scale(inv.data[i][j])
             lin_inv_images[aid] = img
     lin_inv = substitution_from_images(space, lin_inv_images)
 
@@ -227,28 +229,3 @@ def invert_substitution(phi: ArrowSubstitution) -> ArrowSubstitution:
         psi = nxt
 
     return compose_substitutions(psi, lin_inv)
-
-
-def _invert_square(mat, field):
-    """Gauss-Jordan inverse of a small dense matrix given as row lists."""
-    n = len(mat)
-    if n == 0:
-        return []
-    a = [row[:] + [field.one if i == j else field.zero for j in range(n)]
-         for i, row in enumerate(mat)]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[row], a[piv] = a[piv], a[row]
-        inv = field.one / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        row += 1
-    if row < n:
-        return None
-    return [r[n:] for r in a]

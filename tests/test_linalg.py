@@ -82,6 +82,31 @@ def test_subspace_package_properties():
             assert proj @ sec == Mat.identity(QQ, n - r)
         if basis.cols:
             assert (proj @ basis).is_zero()
+        assert sec == Mat.identity(QQ, n).take_cols(_greedy_complement(basis))
+
+
+def _greedy_complement(basis: Mat) -> list[int]:
+    """Reference: standard basis indices chosen greedily by index, each one
+    kept when it raises the rank (sympy) of the span built so far."""
+    n = basis.rows
+    span = _to_sympy(basis)
+    chosen = []
+    for i in range(n):
+        e = sympy.zeros(n, 1)
+        e[i] = 1
+        cand = span.row_join(e)
+        if cand.rank() > span.rank():
+            chosen.append(i)
+            span = cand
+    return chosen
+
+
+def test_subspace_package_rejects_dependent_columns():
+    b = Mat.from_int_rows(QQ, [[1, 2, 0], [0, 0, 1], [1, 2, 1]])
+    with pytest.raises(ShapeError):
+        subspace_package(b)
+    with pytest.raises(ShapeError):
+        subspace_package(Mat.zero(QQ, 3, 1))
 
 
 def test_intersection_against_rank_formula():

@@ -1,6 +1,7 @@
 """Arrow substitutions: application, composition, inversion."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,18 @@ def test_invert_singular_linear_part_raises():
         s, {"c1": s.arrow("c2"), "c2": s.arrow("c2")}
     )
     with pytest.raises(NotInvertibleError):
+        invert_substitution(phi)
+    # a singular class whose images also carry higher-degree terms; the
+    # error names the parallel class (tail, head)
+    phi = substitution_from_images(
+        s,
+        {
+            "a1*": s.arrow("a2*") + s.path(("c1", "[b1a1]", "a1*")),
+            "a2*": s.arrow("a2*").scale(QQ.of(-2)),
+        },
+    )
+    a = s.quiver.arrow("a1*")
+    with pytest.raises(NotInvertibleError, match=re.escape(f"class {(a.tail, a.head)}")):
         invert_substitution(phi)
 
 
