@@ -25,7 +25,7 @@ m = random_valid_module(qp, rng, max_dim=3)
 
 rpt = duality_witness(m, 3)
 print("duality witness verified; comparison block at the mutation vertex is")
-print(" ", rpt.delta_k)
+print(" ", rpt.witness["delta_k"])
 
 w = involution_pullback(m, 3)
 res = is_isomorphic(w, m, seed=2)

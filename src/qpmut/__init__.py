@@ -19,6 +19,7 @@ from .errors import (
     NotCyclicError,
     NotInvertibleError,
     QpmutError,
+    Report,
     SchemaError,
     ShapeError,
     TruncationTooSmall,

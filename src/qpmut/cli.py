@@ -87,7 +87,9 @@ def cmd_mutate_quiver(args) -> int:
     else:
         raise QpmutError("mutate-quiver expects a quiver or qp document")
     out = premutate_quiver(q, args.at) if args.pre else mutate_quiver(q, args.at)
-    field = field_from_name(args.field)
+    # the CLI spells field tags q and fp:<p>; documents use Q and Fp:<p>
+    tag = args.field
+    field = field_from_name({"q": "Q"}.get(tag.lower(), tag.replace("fp:", "Fp:")))
     _out(args, docio.dumps(docio.emit_quiver(out, field, args.trunc or _default_trunc())))
     return EXIT_OK
 
@@ -185,7 +187,7 @@ def cmd_verify(args) -> int:
             t = build_triangle(rep, k)
             note(f"triangle at {k}: compositions vanish",
                  (t.alpha @ t.gamma).is_zero() and (t.gamma @ t.beta).is_zero())
-            pm = premutate_rep(rep, k)
+            pm = premutate_rep(rep, k, triangle=t)
             note(f"triangle at {k}: reversed composition is minus the derivative map",
                  check_beta_alpha(pm).ok)
     elif suite == "fourway":
@@ -195,7 +197,7 @@ def cmd_verify(args) -> int:
     elif suite == "duality":
         for k in _admissible_vertices(rep):
             try:
-                duality_witness(rep, k, seed=args.seed)
+                duality_witness(rep, k)
                 note(f"duality commutes at {k}", True)
             except QpmutError as e:
                 note(f"duality commutes at {k}", False, str(e))
@@ -218,6 +220,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _count(raw: str) -> int:
+    n = int(raw)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qpmut", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -225,18 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--in", dest="infile", required=True, help="input document")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--field", default="q", help="q or fp:<p>")
-        p.add_argument("--trunc", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("mutate-quiver", help="mutate a quiver at one vertex")
     common(p)
+    p.add_argument("--field", default="q", help="q or fp:<p>")
+    p.add_argument("--trunc", type=int, default=None)
     p.add_argument("--at", type=int, required=True)
     p.add_argument("--pre", action="store_true", help="premutation only")
     p.set_defaults(func=cmd_mutate_quiver)
 
     p = sub.add_parser("mutate-qp", help="mutate a QP along a vertex sequence")
     common(p)
+    p.add_argument("--trunc", type=int, default=None)
     p.add_argument("--seq", default=None, help="comma-separated vertices")
     p.add_argument("--at", type=int, default=None, help="single vertex")
     p.set_defaults(func=cmd_mutate_qp)
@@ -258,12 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe-nondeg", help="random mutation sequences looking for 2-cycles")
     common(p)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--trials", type=int, default=16)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--depth", type=_count, default=4)
+    p.add_argument("--trials", type=_count, default=16)
     p.set_defaults(func=cmd_probe_nondeg)
 
     p = sub.add_parser("verify", help="run an invariant suite on a representation")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--suite",
         required=True,
@@ -281,9 +292,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
-        # normalize the field tag spelling used by the CLI (q, fp:<p>)
-        tag = args.field
-        args.field = {"q": "Q"}.get(tag.lower(), tag.replace("fp:", "Fp:"))
         return args.func(args)
     except MutationNotDefined as e:
         print(f"error: {e}", file=sys.stderr)

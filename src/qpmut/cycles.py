@@ -131,12 +131,22 @@ def second_derivative(s: Potential, bid: str, aid: str) -> JetPoly:
     return JetPoly(space, acc)
 
 
-def reverse_potential(s: Potential, opposite_space: JetSpace) -> Potential:
-    """Term-wise word reversal, landing in the opposite quiver's jets."""
-    q = opposite_space.quiver
+def reverse_jet(
+    u: JetPoly, target: JetSpace, renaming: dict[str, str] | None = None
+) -> JetPoly:
+    """Term-wise word reversal into ``target``, the jets of the opposite
+    quiver, renaming arrow ids through ``renaming`` where it has them."""
+    ren = renaming or {}
+    q = target.quiver
     acc: dict[Path, object] = {}
-    for p, c in s.jet.terms.items():
-        word = tuple(reversed(p.arrows))
-        rev = Path(word, q.tail(word[-1]), q.head(word[0]))
-        acc[rev] = c
-    return cyclic_normalize(JetPoly(opposite_space, acc))
+    for p, c in u.terms.items():
+        word = tuple(ren.get(x, x) for x in reversed(p.arrows))
+        acc[Path(word, q.tail(word[-1]), q.head(word[0]))] = c
+    return JetPoly(target, acc)
+
+
+def reverse_potential(
+    s: Potential, opposite_space: JetSpace, renaming: dict[str, str] | None = None
+) -> Potential:
+    """Term-wise word reversal, landing in the opposite quiver's jets."""
+    return cyclic_normalize(reverse_jet(s.jet, opposite_space, renaming))

@@ -30,6 +30,13 @@ def _require(cond: bool, msg: str):
         raise SchemaError(msg)
 
 
+def _scalar(field: Field, raw: Any, where: str):
+    try:
+        return field.parse(str(raw))
+    except (ValueError, ZeroDivisionError) as e:
+        raise SchemaError(f"{where}: bad {field.name} scalar {raw!r}: {e}") from e
+
+
 def _field_tag(field: Field) -> str:
     return field.name
 
@@ -129,7 +136,10 @@ def _parse_header(doc: Any) -> tuple[str, Field, int]:
     _require(doc.get("version") == FORMAT_VERSION, "unsupported format version")
     field = field_from_name(doc.get("field", "Q"))
     trunc = doc.get("trunc", DEFAULT_TRUNC)
-    _require(isinstance(trunc, int) and trunc >= 1, "trunc must be a positive integer")
+    _require(
+        isinstance(trunc, int) and not isinstance(trunc, bool) and trunc >= 1,
+        "trunc must be a positive integer",
+    )
     _require("payload" in doc, "missing payload")
     return kind, field, trunc
 
@@ -163,7 +173,7 @@ def _parse_potential(payload: Any, space: JetSpace) -> Potential:
                  f"payload.potential[{i}] malformed")
         _require(len(t["cycle"]) <= space.order,
                  f"payload.potential[{i}] is longer than the truncation order")
-        coeff = space.field.parse(str(t.get("coeff", "1")))
+        coeff = _scalar(space.field, t.get("coeff", "1"), f"payload.potential[{i}]")
         jet = jet + space.path(tuple(t["cycle"])).scale(coeff)
     return cyclic_normalize(jet)
 
@@ -207,7 +217,7 @@ def parse(doc: dict):
         for row in rows:
             _require(isinstance(row, list) and len(row) == want_c,
                      f"matrix for {aid!r} has a wrong-length row")
-            data.append([field.parse(str(x)) for x in row])
+            data.append([_scalar(field, x, f"matrix for {aid!r}") for x in row])
         maps[aid] = Mat(field, data) if want_r and want_c else Mat.zero(field, want_r, want_c)
     rep = DecRep(qp, dims, maps, dec)
     rpt = check_module(rep)

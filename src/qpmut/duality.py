@@ -9,16 +9,14 @@ it survives the reduction pullback on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cycles import Potential, cyclically_equivalent, reverse_potential
-from .errors import CertificateError
-from .jets import JetPoly, JetSpace
+from .cycles import cyclically_equivalent, reverse_jet, reverse_potential
+from .errors import Report
+from .jets import JetSpace
 from .linalg import Mat, block_matrix
 from .mutation import premutate_rep, pullback_reduction
-from .qp import QP, composite_name, mutate_qp
-from .quiver import Path, Quiver
-from .reps import DecRep
+from .qp import QP, composite_name, require_mutable, split_reduce
+from .quiver import Quiver
+from .reps import DecRep, is_intertwiner
 from .subst import ArrowSubstitution
 
 
@@ -56,41 +54,28 @@ def transport_substitution_to_opposite(
     """Carry a substitution on the premutated quiver to the premutation of
     the opposite quiver: reverse every image path and rename composites."""
     inv = {v: u for u, v in mapping.items()}
-    tq = target_space.quiver
-    images = {}
-    for aid, jet in phi.images.items():
-        acc: dict[Path, object] = {}
-        for p, c in jet.terms.items():
-            word = tuple(inv.get(x, x) for x in reversed(p.arrows))
-            acc[Path(word, tq.tail(word[-1]), tq.head(word[0]))] = c
-        images[inv.get(aid, aid)] = JetPoly(target_space, acc)
-    return ArrowSubstitution(tq, target_space, images)
+    images = {
+        inv.get(aid, aid): reverse_jet(jet, target_space, inv)
+        for aid, jet in phi.images.items()
+    }
+    return ArrowSubstitution(target_space.quiver, target_space, images)
 
 
-@dataclass
-class DualityReport:
-    ok: bool
-    failures: list[str]
-    delta_k: Mat
-
-
-def duality_witness(rep: DecRep, k: int, seed: int = 0) -> DualityReport:
+def duality_witness(rep: DecRep, k: int) -> Report:
     """Certify that mutation commutes with duality on this module.
 
     The comparison map is assembled from the retraction, section and
     coker/quotient data of the module's own triangle, is the identity away
     from k, and is verified to intertwine both premutations and both reduced
-    modules exactly.
+    modules exactly.  It is returned as ``witness["delta_k"]``.
     """
-    del seed  # deterministic; kept for report reproducibility in the CLI
     qp = rep.qp
     fld = rep.field
-    reduced, phi, _ = mutate_qp(qp, k)
-
+    require_mutable(qp, k)
     pm = premutate_rep(rep, k, "coker_beta")
     t = pm.triangle
+    sr = split_reduce(pm.rep.qp)
 
-    qp_op = dualize_qp(qp)
     pm_d = premutate_rep(dualize_rep(rep), k, "coker_beta")
     td = pm_d.triangle
     qpt_op = pm_d.rep.qp
@@ -100,16 +85,17 @@ def duality_witness(rep: DecRep, k: int, seed: int = 0) -> DualityReport:
     dual_of_pm = dualize_rep(pm.rep)
     renamed_dual = rename_rep(dual_of_pm, qpt_op, ren_inv)
 
-    failures: list[str] = []
-    if {a.id for a in dual_of_pm.qp.quiver.renamed(ren_inv).arrows} != {
-        a.id for a in qpt_op.quiver.arrows
-    }:
-        failures.append("premutated quivers do not match under renaming")
-    transported_pot = _transport_potential_to_opposite(
-        pm.rep.qp.potential, qpt_op.space, ren
+    rpt = Report("duality")
+    rpt.note(
+        "premutated quivers match under renaming",
+        {a.id for a in dual_of_pm.qp.quiver.renamed(ren_inv).arrows}
+        == {a.id for a in qpt_op.quiver.arrows},
     )
-    if not cyclically_equivalent(transported_pot.jet, qpt_op.potential.jet):
-        failures.append("premutated potentials disagree under renaming")
+    transported_pot = reverse_potential(pm.rep.qp.potential, qpt_op.space, ren_inv)
+    rpt.note(
+        "premutated potentials agree under renaming",
+        cyclically_equivalent(transported_pot.jet, qpt_op.potential.jet),
+    )
 
     c = t.dim_cokerbeta
     q2 = t.dim_keralpha_mod_imgamma
@@ -133,53 +119,26 @@ def duality_witness(rep: DecRep, k: int, seed: int = 0) -> DualityReport:
         v: (delta_k if v == k else Mat.identity(fld, rep.dims[v]))
         for v in qp.quiver.vertices
     }
-    if not delta_k.is_invertible():
-        failures.append("comparison map at k is singular")
-    for a in qpt_op.quiver.arrows:
-        lhs = delta[a.head] @ pm_d.rep.maps[a.id]
-        rhs = renamed_dual.maps[a.id] @ delta[a.tail]
-        if lhs != rhs:
-            failures.append(f"premutation intertwining fails at {a.id!r}")
-            break
+    rpt.witness["delta_k"] = delta_k
+    rpt.note("comparison map at k is invertible", delta_k.is_invertible())
+    rpt.note("comparison map intertwines the premutations",
+             is_intertwiner(pm_d.rep, renamed_dual, delta))
 
     # decorations: the mutated decoration of the dual equals the dual of the
     # mutated decoration (dimension check; decorations are dimension vectors)
-    if pm_d.rep.dec_dims != dual_of_pm.dec_dims:
-        failures.append("mutated decorations disagree")
+    rpt.note("mutated decorations agree", pm_d.rep.dec_dims == dual_of_pm.dec_dims)
 
     # reduced level: pull back both sides along matching splittings
-    if not failures:
-        space_op = qpt_op.space
-        phi_op = transport_substitution_to_opposite(phi, space_op, ren)
+    if rpt.ok:
+        phi_op = transport_substitution_to_opposite(sr.splitting, qpt_op.space, ren)
         red_op_quiver = qpt_op.quiver.restricted_to_arrows(
-            {ren_inv.get(x.id, x.id) for x in reduced.quiver.arrows}
+            {ren_inv.get(x.id, x.id) for x in sr.reduced.quiver.arrows}
         )
         red_op_space = JetSpace(red_op_quiver, qp.order, fld)
-        red_op_pot = _transport_potential_to_opposite(reduced.potential, red_op_space, ren)
+        red_op_pot = reverse_potential(sr.reduced.potential, red_op_space, ren_inv)
         reduced_op = QP(red_op_quiver, red_op_pot)
         m1 = pullback_reduction(pm_d.rep, phi_op, reduced_op)   # mutate the dual
         m2 = pullback_reduction(renamed_dual, phi_op, reduced_op)  # dual of the mutation
-        for a in reduced_op.quiver.arrows:
-            lhs = delta[a.head] @ m1.maps[a.id]
-            rhs = m2.maps[a.id] @ delta[a.tail]
-            if lhs != rhs:
-                failures.append(f"reduced intertwining fails at {a.id!r}")
-                break
-
-    if failures:
-        raise CertificateError(f"duality witness failed: {failures}")
-    return DualityReport(ok=True, failures=[], delta_k=delta_k)
-
-
-def _transport_potential_to_opposite(
-    pot: Potential, target: JetSpace, ren: dict[str, str]
-) -> Potential:
-    from .cycles import cyclic_normalize
-
-    inv = {v: u for u, v in ren.items()}
-    tq = target.quiver
-    acc: dict[Path, object] = {}
-    for p, cf in pot.jet.terms.items():
-        word = tuple(inv.get(x, x) for x in reversed(p.arrows))
-        acc[Path(word, tq.tail(word[-1]), tq.head(word[0]))] = cf
-    return cyclic_normalize(JetPoly(target, acc))
+        rpt.note("comparison map intertwines the reduced modules",
+                 is_intertwiner(m1, m2, delta))
+    return rpt.require()

@@ -1,4 +1,12 @@
-"""Exception hierarchy for the mutation engine."""
+"""Exception hierarchy for the mutation engine, and the certificate type.
+
+Every machine-checked claim (a module is valid, a splitting is right, two
+constructions are isomorphic, mutation commutes with duality) is stated as a
+:class:`Report`; ``Report.require`` turns a failed one into a
+:class:`CertificateError`.
+"""
+
+from dataclasses import dataclass, field
 
 
 class QpmutError(Exception):
@@ -31,6 +39,41 @@ class TruncationTooSmall(QpmutError):
 
 class CertificateError(QpmutError):
     """A machine-checked certificate failed verification."""
+
+
+@dataclass
+class Report:
+    """A certificate: named checks in the order they ran, plus witness data.
+
+    ``checks`` holds ``(name, passed)`` pairs; a check is named after what it
+    asserts.  ``witness`` holds objects that back the claim, such as the
+    comparison map of a duality certificate.  ``ok`` and ``failures`` are
+    read off the checks, so a report cannot contradict itself.
+    """
+
+    name: str
+    checks: list[tuple[str, bool]] = field(default_factory=list)
+    witness: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return all(passed for _, passed in self.checks)
+
+    @property
+    def failures(self) -> list[str]:
+        return [name for name, passed in self.checks if not passed]
+
+    def note(self, name: str, passed: bool) -> bool:
+        """Record a check; return whether it passed."""
+        self.checks.append((name, bool(passed)))
+        return passed
+
+    def require(self) -> "Report":
+        """Return the report, or raise CertificateError naming the failed
+        checks."""
+        if not self.ok:
+            raise CertificateError(f"{self.name} certificate failed: {self.failures}")
+        return self
 
 
 class ShapeError(QpmutError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ContextError
 from .linalg import Mat
-from .reps import DecRep
+from .reps import DecRep, is_isomorphism
 
 YES = "YES"
 NO = "NO"
@@ -86,13 +86,6 @@ class IsoResult:
         return self.verdict == YES
 
 
-def _verify_iso(m: DecRep, n: DecRep, g: dict[int, Mat]) -> bool:
-    for a in m.qp.quiver.arrows:
-        if g[a.head] @ m.maps[a.id] != n.maps[a.id] @ g[a.tail]:
-            return False
-    return all(g[v].is_invertible() for v in m.qp.quiver.vertices)
-
-
 def is_isomorphic(m: DecRep, n: DecRep, seed: int = 0, tries: int = 64) -> IsoResult:
     """Certified decorated-module isomorphism test."""
     if not m.same_context(n):
@@ -129,13 +122,13 @@ def is_isomorphic(m: DecRep, n: DecRep, seed: int = 0, tries: int = 64) -> IsoRe
 
     # deterministic first attempts: single basis elements
     for b in hom_mn.basis:
-        if _verify_iso(m, n, b):
+        if is_isomorphism(m, n, b):
             return IsoResult(YES, certificate=b, seed=seed)
 
     for trial in range(tries):
         bound = 1 + trial // 8
         coeffs = [fld.of(rng.randint(-bound, bound)) for _ in hom_mn.basis]
         g = combine(coeffs)
-        if _verify_iso(m, n, g):
+        if is_isomorphism(m, n, g):
             return IsoResult(YES, certificate=g, seed=seed)
     return IsoResult(UNDECIDED, seed=seed)

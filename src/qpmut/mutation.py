@@ -19,11 +19,20 @@ from .errors import (
     ContextError,
     InvariantError,
     MutationNotDefined,
+    Report,
     TruncationTooSmall,
 )
 from .linalg import Mat, block_diag, block_matrix, coords_in, hstack, subspace_package, vstack
-from .qp import QP, composite_name, mutate_qp, premutate_qp, star_name
-from .reps import DecRep, TrianglePack, build_triangle, check_module, component_action
+from .qp import QP, composite_name, premutate_qp, require_mutable, split_reduce, star_name
+from .reps import (  # is_intertwiner is re-exported for callers of this module
+    DecRep,
+    TrianglePack,
+    build_triangle,
+    check_module,
+    component_action,
+    is_intertwiner,
+    is_isomorphism,
+)
 from .subst import ArrowSubstitution
 
 CONSTRUCTIONS = ("amalgam", "ker_alpha", "coker_beta", "pushout")
@@ -45,25 +54,15 @@ class PremutedRep:
 
     @property
     def alpha_bar(self) -> Mat:
-        return _assemble_alpha_bar(self)
+        """The reversed outgoing arrows side by side: M_out -> Mbar_k."""
+        mats = [self.rep.maps[star_name(b)] for b in self.triangle.out_arrows]
+        return hstack(self.rep.field, mats, rows=self.rep.dims[self.k])
 
     @property
     def beta_bar(self) -> Mat:
-        return _assemble_beta_bar(self)
-
-
-def _assemble_alpha_bar(pm: "PremutedRep") -> Mat:
-    fld = pm.rep.field
-    t = pm.triangle
-    mats = [pm.rep.maps[star_name(b)] for b in t.out_arrows]
-    return hstack(fld, mats, rows=pm.rep.dims[pm.k])
-
-
-def _assemble_beta_bar(pm: "PremutedRep") -> Mat:
-    fld = pm.rep.field
-    t = pm.triangle
-    mats = [pm.rep.maps[star_name(a)] for a in t.in_arrows]
-    return vstack(fld, mats, cols=pm.rep.dims[pm.k])
+        """The reversed incoming arrows stacked: Mbar_k -> M_in."""
+        mats = [self.rep.maps[star_name(a)] for a in self.triangle.in_arrows]
+        return vstack(self.rep.field, mats, cols=self.rep.dims[self.k])
 
 
 def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
@@ -152,12 +151,8 @@ def premutate_rep(
     if construction not in CONSTRUCTIONS:
         raise InvariantError(f"unknown construction {construction!r}")
     if require_valid:
-        rpt = check_module(rep)
-        if not rpt.ok:
-            raise CertificateError(f"input is not a valid module: {rpt.failures}")
+        check_module(rep).require()
     qp = rep.qp
-    if qp.quiver.has_two_cycle_at(k):
-        raise MutationNotDefined(f"vertex {k} lies on a 2-cycle")
     fld = rep.field
     qpt = premutate_qp(qp, k)
     t = triangle if triangle is not None else build_triangle(rep, k)
@@ -209,9 +204,7 @@ def premutate_rep(
         pushout_sec=extras.get("pushout_sec"),
     )
     if require_valid:
-        rpt = check_module(out)
-        if not rpt.ok:
-            raise CertificateError(f"premutated module invalid: {rpt.failures}")
+        check_module(out).require()
     return pm
 
 
@@ -235,21 +228,13 @@ def _scramble_choices(t: TrianglePack, seed: int) -> TrianglePack:
     return replace(t, rho=new_rho, sigma=new_sigma, s_section=new_s)
 
 
-@dataclass
-class BetaAlphaReport:
-    ok: bool
-    failures: list[str]
-
-
-def check_beta_alpha(pm: PremutedRep) -> BetaAlphaReport:
+def check_beta_alpha(pm: PremutedRep) -> Report:
     """Verify that composing the reversed-arrow actions reproduces minus the
     second-derivative matrix, blockwise and exactly."""
-    t = pm.triangle
-    failures = []
-    prod = _assemble_beta_bar(pm) @ _assemble_alpha_bar(pm)
-    if prod != -t.gamma:
-        failures.append("reversed-arrow composition differs from -gamma")
-    return BetaAlphaReport(ok=not failures, failures=failures)
+    rpt = Report("beta_alpha")
+    prod = pm.beta_bar @ pm.alpha_bar
+    rpt.note("reversed-arrow composition is -gamma", prod == -pm.triangle.gamma)
+    return rpt
 
 
 def construction_iso(pm_from: PremutedRep, pm_to: PremutedRep) -> dict[int, Mat]:
@@ -370,24 +355,7 @@ def _between_constructions(t: TrianglePack, pm_from: PremutedRep, pm_to: Premute
     return _from_amalgam(t, pm_to, fld) @ _to_amalgam(t, pm_from, fld)
 
 
-def is_intertwiner(m_from: DecRep, m_to: DecRep, f: dict[int, Mat]) -> bool:
-    q = m_from.qp.quiver
-    for a in q.arrows:
-        lhs = f[a.head] @ m_from.maps[a.id]
-        rhs = m_to.maps[a.id] @ f[a.tail]
-        if lhs != rhs:
-            return False
-    return True
-
-
-@dataclass
-class FourWayReport:
-    ok: bool
-    failures: list[str]
-    isos: dict[tuple[str, str], dict[int, Mat]]
-
-
-def constructions_agree(rep: DecRep, k: int) -> FourWayReport:
+def constructions_agree(rep: DecRep, k: int) -> Report:
     """Build all four premutations over one shared triangle and verify the
     explicit pairwise isomorphisms between them."""
     t = build_triangle(rep, k)
@@ -396,19 +364,16 @@ def constructions_agree(rep: DecRep, k: int) -> FourWayReport:
         pms[kind] = premutate_rep(
             rep, k, kind, require_valid=(kind == CONSTRUCTIONS[0]), triangle=t
         )
-    failures = []
-    isos = {}
+    rpt = Report("constructions_agree")
     for kind1 in CONSTRUCTIONS:
         for kind2 in CONSTRUCTIONS:
             if kind1 >= kind2:
                 continue
             f = construction_iso(pms[kind1], pms[kind2])
-            isos[(kind1, kind2)] = f
-            if not is_intertwiner(pms[kind1].rep, pms[kind2].rep, f):
-                failures.append(f"{kind1}->{kind2}: not an intertwiner")
-            if not all(m.is_invertible() for m in f.values()):
-                failures.append(f"{kind1}->{kind2}: not invertible")
-    return FourWayReport(ok=not failures, failures=failures, isos=isos)
+            rpt.witness[f"{kind1}->{kind2}"] = f
+            rpt.note(f"{kind1}->{kind2} is an isomorphism",
+                     is_isomorphism(pms[kind1].rep, pms[kind2].rep, f))
+    return rpt
 
 
 def pullback_reduction(prem: DecRep, phi: ArrowSubstitution, reduced: QP) -> DecRep:
@@ -427,17 +392,18 @@ def pullback_reduction(prem: DecRep, phi: ArrowSubstitution, reduced: QP) -> Dec
         maps[c.id] = component_action(prem, img, c.head, c.tail)
     out = DecRep(reduced, {v: prem.dims[v] for v in reduced.quiver.vertices}, maps,
                  {v: prem.dec_dims[v] for v in reduced.quiver.vertices})
-    rpt = check_module(out)
-    if not rpt.ok:
-        raise CertificateError(f"reduced module invalid: {rpt.failures}")
+    check_module(out).require()
     return out
 
 
 def mutate_rep(rep: DecRep, k: int, construction: str = "ker_alpha") -> DecRep:
-    """Full mutation of a decorated representation in direction k."""
-    reduced, phi, _ = mutate_qp(rep.qp, k)
+    """Full mutation of a decorated representation in direction k: premutate
+    the module, split the premutated potential it carries, and restrict
+    along the splitting."""
+    require_mutable(rep.qp, k)
     pm = premutate_rep(rep, k, construction)
-    return pullback_reduction(pm.rep, phi, reduced)
+    sr = split_reduce(pm.rep.qp)
+    return pullback_reduction(pm.rep, sr.splitting, sr.reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +422,8 @@ def transport_iso(
     outgoing-kernel quotient."""
     if not m_from.same_context(m_to):
         raise ContextError("modules live over different QPs")
-    if not is_intertwiner(m_from, m_to, f):
-        raise CertificateError("given map is not an intertwiner")
-    if not all(m.is_invertible() for m in f.values()):
-        raise CertificateError("given map is not invertible")
+    if not is_isomorphism(m_from, m_to, f):
+        raise CertificateError("given map is not an isomorphism")
     fld = m_from.field
     pm_m = premutate_rep(m_from, k, "coker_beta")
     pm_n = premutate_rep(m_to, k, "coker_beta")
@@ -490,10 +454,8 @@ def transport_iso(
         [Mat.zero(fld, vk, c_m), Mat.zero(fld, vk, q2_m), g_k],
     ])
     f_tilde = {v: (fk if v == k else f[v]) for v in m_from.qp.quiver.vertices}
-    if not is_intertwiner(pm_m.rep, pm_n.rep, f_tilde):
-        raise CertificateError("transported map fails to intertwine")
-    if not all(m.is_invertible() for m in f_tilde.values()):
-        raise CertificateError("transported map is not invertible")
+    if not is_isomorphism(pm_m.rep, pm_n.rep, f_tilde):
+        raise CertificateError("transported map is not an isomorphism")
     return pm_m, pm_n, f_tilde
 
 
@@ -583,7 +545,5 @@ def involution_pullback(rep: DecRep, k: int, construction: str = "ker_alpha") ->
         maps,
         {v: rep2.dec_dims[v] for v in qp.quiver.vertices},
     )
-    rpt = check_module(out)
-    if not rpt.ok:
-        raise CertificateError(f"double-premutation pullback invalid: {rpt.failures}")
+    check_module(out).require()
     return out

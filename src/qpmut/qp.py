@@ -14,13 +14,14 @@ equivalence modulo m^(N+1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .cycles import Potential, cyclic_derivative, cyclic_normalize, cyclically_equivalent
 from .errors import (
     CertificateError,
     InvariantError,
     MutationNotDefined,
+    Report,
     TruncationTooSmall,
 )
 from .jets import JetPoly, JetSpace
@@ -173,22 +174,11 @@ def premutate_qp(qp: QP, k: int) -> QP:
 
 
 @dataclass
-class SplitReport:
-    ok: bool
-    checks: list[tuple[str, bool]] = dc_field(default_factory=list)
-
-    def note(self, name: str, passed: bool):
-        self.checks.append((name, passed))
-        if not passed:
-            self.ok = False
-
-
-@dataclass
 class SplitResult:
     reduced: QP
     trivial: QP
     splitting: ArrowSubstitution  # on the full quiver; splitting(S_red + S_triv) ~cyc S
-    certificate: SplitReport
+    certificate: Report
 
 
 def _degree2_pairing(qp: QP):
@@ -300,7 +290,7 @@ def split_reduce(qp: QP) -> SplitResult:
         empty_triv = QP(
             triv_quiver, Potential(JetSpace(triv_quiver, n, qp.field).zero())
         )
-        cert = SplitReport(ok=True)
+        cert = Report("split_reduce")
         cert.note("reduced part has zero degree-2 component", True)
         cert.note("trivial part is trivial", True)
         cert.note("arrow sets split the quiver", True)
@@ -311,9 +301,20 @@ def split_reduce(qp: QP) -> SplitResult:
     cur = cyclic_normalize(apply_substitution(lin_sub, s0.jet))
     s1 = cur  # the linearly normalized potential; the splitting targets it
 
-    u_of = {u: v for u, v in pairs}   # A-side pivot -> partner
-    v_of = {v: u for u, v in pairs}
-    trivial_ids = set(u_of) | set(v_of)
+    partner = {u: v for u, v in pairs} | {v: u for u, v in pairs}
+    trivial_ids = set(partner)
+
+    def absorb(p: Path, c, acc: dict[str, JetPoly]) -> None:
+        """Take the least rotation of p led by a trivial arrow, cut off the
+        lead arrow and add c times the rest to the correction of its
+        partner."""
+        rots = [r for r in rotations(q, p) if r.arrows[0] in trivial_ids]
+        if not rots:
+            raise CertificateError("discrepancy term avoids the trivial arrows")
+        lead, *rest = min(rots, key=lambda r: r.arrows).arrows
+        piece = Path(tuple(rest), q.tail(rest[-1]), q.head(rest[0]))
+        aid = partner[lead]
+        acc[aid] = acc.get(aid, space.zero()) + JetPoly(space, {piece: c})
 
     s_triv_jet = space.zero()
     for u, v in pairs:
@@ -325,22 +326,10 @@ def split_reduce(qp: QP) -> SplitResult:
 
     for _ in range(n + 1):
         corrections: dict[str, JetPoly] = {}
-        found = False
         for p, c in cur.terms().items():
-            if p.length < 3 or not (set(p.arrows) & trivial_ids):
-                continue
-            found = True
-            rots = [
-                r for r in rotations(q, p) if r.arrows[0] in trivial_ids
-            ]
-            chosen = min(rots, key=lambda r: r.arrows)
-            lead = chosen.arrows[0]
-            rest = chosen.arrows[1:]
-            piece = Path(rest, q.tail(rest[-1]), q.head(rest[0]))
-            partner = v_of.get(lead) or u_of.get(lead)
-            prev = corrections.get(partner, space.zero())
-            corrections[partner] = prev + JetPoly(space, {piece: c})
-        if not found:
+            if p.length >= 3 and set(p.arrows) & trivial_ids:
+                absorb(p, c, corrections)
+        if not corrections:
             break
         images = {
             aid: space.arrow(aid) - corr for aid, corr in corrections.items()
@@ -373,18 +362,8 @@ def split_reduce(qp: QP) -> SplitResult:
         d = min(p.length for p in delta.terms())
         additions: dict[str, JetPoly] = {}
         for p, c in delta.terms().items():
-            if p.length != d:
-                continue
-            rots = [r for r in rotations(q, p) if r.arrows[0] in trivial_ids]
-            if not rots:
-                raise CertificateError("discrepancy term avoids the trivial arrows")
-            chosen = min(rots, key=lambda r: r.arrows)
-            lead = chosen.arrows[0]
-            rest = chosen.arrows[1:]
-            piece = Path(rest, q.tail(rest[-1]), q.head(rest[0]))
-            partner = v_of.get(lead) or u_of.get(lead)
-            prev = additions.get(partner, space.zero())
-            additions[partner] = prev + JetPoly(space, {piece: c})
+            if p.length == d:
+                absorb(p, c, additions)
         chi = substitution_from_images(
             space,
             {
@@ -401,7 +380,7 @@ def split_reduce(qp: QP) -> SplitResult:
         raise CertificateError("splitting construction exceeded the degree budget")
     phi = compose_substitutions(invert_substitution(lin_sub), chi)
 
-    cert = SplitReport(ok=True)
+    cert = Report("split_reduce")
     cert.note("reduced part has zero degree-2 component", red_pot.degree2_part().is_zero())
     cert.note("trivial part is trivial", _is_trivial_qp(QP(trivial_quiver, triv_pot)))
     cert.note(
@@ -415,9 +394,9 @@ def split_reduce(qp: QP) -> SplitResult:
         "splitting carries the split potential to the input",
         cyclically_equivalent(recombined, s0.jet),
     )
-    if not cert.ok:
-        raise CertificateError(f"split_reduce certificate failed: {cert.checks}")
-    return SplitResult(QP(reduced_quiver, red_pot), QP(trivial_quiver, triv_pot), phi, cert)
+    return SplitResult(
+        QP(reduced_quiver, red_pot), QP(trivial_quiver, triv_pot), phi, cert.require()
+    )
 
 
 def _retype_potential(s: Potential, target: JetSpace) -> Potential:
@@ -459,12 +438,19 @@ def _is_trivial_qp(qp: QP) -> bool:
     return span.rank() == len(ids)
 
 
-def mutate_qp(qp: QP, k: int) -> tuple[QP, ArrowSubstitution, QP]:
-    """Mutation: the reduced part of the premutation, with the splitting
-    substitution and trivial part returned alongside."""
+def require_mutable(qp: QP, k: int) -> None:
+    """Raise unless mutation at k is defined (k on no 2-cycle) and exact at
+    the truncation order (N above every potential term and at least 3)."""
     need = max(3, qp.potential.max_length() + 1)
     if qp.order < need:
         raise TruncationTooSmall(f"truncation order {qp.order} < required {need}")
+    _require_admissible(qp.quiver, k)
+
+
+def mutate_qp(qp: QP, k: int) -> tuple[QP, ArrowSubstitution, QP]:
+    """Mutation: the reduced part of the premutation, with the splitting
+    substitution and trivial part returned alongside."""
+    require_mutable(qp, k)
     sr = split_reduce(premutate_qp(qp, k))
     return sr.reduced, sr.splitting, sr.trivial
 

@@ -8,10 +8,10 @@ every cyclic derivative of the potential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .cycles import cyclic_derivative, second_derivative
-from .errors import ContextError, InvariantError, ShapeError, TruncationTooSmall
+from .errors import ContextError, InvariantError, Report, ShapeError, TruncationTooSmall
 from .jets import JetPoly
 from .linalg import (
     Mat,
@@ -142,26 +142,31 @@ def path_action(rep: DecRep, u: JetPoly) -> Mat:
                   cols=sum(rep.dims[t] for t in verts))
 
 
-@dataclass
-class ModuleReport:
-    ok: bool
-    nilpotent: bool
-    failures: list[str] = dc_field(default_factory=list)
-
-
-def check_module(rep: DecRep) -> ModuleReport:
+def check_module(rep: DecRep) -> Report:
     """Verify nilpotency and that every cyclic derivative acts as zero."""
-    try:
-        rep.nilpotency_index()
-    except InvariantError:
-        return ModuleReport(ok=False, nilpotent=False, failures=["not nilpotent"])
-    failures = []
+    rpt = Report("module")
+    if not rpt.note("nilpotent", rep.is_nilpotent()):
+        return rpt
     for a in rep.qp.quiver.arrows:
         d = cyclic_derivative(rep.qp.potential, a.id)
         m = component_action(rep, d, a.tail, a.head)
-        if not m.is_zero():
-            failures.append(f"derivative along {a.id!r} acts nontrivially")
-    return ModuleReport(ok=not failures, nilpotent=True, failures=failures)
+        rpt.note(f"derivative along {a.id!r} acts as zero", m.is_zero())
+    return rpt
+
+
+def is_intertwiner(m_from: DecRep, m_to: DecRep, f: dict[int, Mat]) -> bool:
+    """f_head @ a_from == a_to @ f_tail for every arrow a."""
+    for a in m_from.qp.quiver.arrows:
+        if f[a.head] @ m_from.maps[a.id] != m_to.maps[a.id] @ f[a.tail]:
+            return False
+    return True
+
+
+def is_isomorphism(m: DecRep, n: DecRep, f: dict[int, Mat]) -> bool:
+    """An intertwiner m -> n that is invertible at every vertex."""
+    return is_intertwiner(m, n, f) and all(
+        f[v].is_invertible() for v in m.qp.quiver.vertices
+    )
 
 
 @dataclass

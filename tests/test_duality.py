@@ -62,7 +62,7 @@ def test_duality_witness_random_markov(markov):
         m = random_valid_module(markov, rng, max_dim=3)
         rpt = duality_witness(m, MARKOV_K)
         assert rpt.ok
-        assert rpt.delta_k.is_invertible()
+        assert rpt.witness["delta_k"].is_invertible()
 
 
 def test_duality_witness_gamma_zero_blocks():
@@ -79,8 +79,8 @@ def test_duality_witness_gamma_zero_blocks():
     rpt = duality_witness(m, 2)
     assert rpt.ok
     # with a vanishing derivative matrix the functional-through-gamma block is zero
-    t_cols = rpt.delta_k.cols
-    assert rpt.delta_k.rows == t_cols
+    t_cols = rpt.witness["delta_k"].cols
+    assert rpt.witness["delta_k"].rows == t_cols
 
 
 def test_duality_witness_sink(markov=None):
@@ -88,3 +88,17 @@ def test_duality_witness_sink(markov=None):
     m = DecRep(qp, {1: 1, 2: 1}, {"a": Mat.identity(QQ, 1)}, {1: 0, 2: 0})
     assert duality_witness(m, 2).ok
     assert duality_witness(m, 1).ok
+
+
+def test_duality_witness_reports_named_checks(markov):
+    m = random_valid_module(markov, random.Random(311), max_dim=3)
+    rpt = duality_witness(m, MARKOV_K)
+    assert rpt.checks == [
+        ("premutated quivers match under renaming", True),
+        ("premutated potentials agree under renaming", True),
+        ("comparison map at k is invertible", True),
+        ("comparison map intertwines the premutations", True),
+        ("mutated decorations agree", True),
+        ("comparison map intertwines the reduced modules", True),
+    ]
+    assert rpt.witness["delta_k"].is_invertible()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import random
 
 import pytest
@@ -239,3 +240,67 @@ def test_cli_trunc_env_override(tmp_path, monkeypatch):
         "--out", str(out),
     ]) == 0
     assert json.loads(out.read_text())["trunc"] == 9
+
+
+def _doc_with_scalar(field, raw, where):
+    """A small qp or decrep document carrying ``raw`` at one scalar slot."""
+    arrows = [{"id": "a", "tail": 1, "head": 2}, {"id": "b", "tail": 2, "head": 3},
+              {"id": "c", "tail": 3, "head": 1}]
+    qp = {"vertices": [1, 2, 3], "arrows": arrows,
+          "potential": [{"cycle": ["c", "b", "a"], "coeff": "1"}]}
+    if where == "coeff":
+        qp["potential"][0]["coeff"] = raw
+        return {"kind": "qp", "version": 1, "field": field, "trunc": 12, "payload": qp}
+    return {
+        "kind": "decrep", "version": 1, "field": field, "trunc": 12,
+        "payload": {"qp": qp, "dims": {"1": 1, "2": 1, "3": 0},
+                    "decDims": {"1": 0, "2": 0, "3": 0}, "matrices": {"a": [[raw]]}},
+    }
+
+
+@pytest.mark.parametrize("where", ["coeff", "matrix"])
+@pytest.mark.parametrize("field,raw", [("Q", "1/0"), ("Q", "abc"), ("Fp:7", "1/2")])
+def test_malformed_scalar_is_schema_error(tmp_path, field, raw, where):
+    doc = _doc_with_scalar(field, raw, where)
+    docio.parse(_doc_with_scalar(field, "1", where))  # a good scalar parses
+    with pytest.raises(SchemaError, match=re.escape(repr(raw))):
+        docio.loads(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dualize", "--in", str(path)]) == 2
+
+
+def test_boolean_trunc_is_schema_error(tmp_path):
+    doc = {
+        "kind": "quiver", "version": 1, "field": "Q", "trunc": True,
+        "payload": {"vertices": [1, 2], "arrows": [{"id": "a", "tail": 1, "head": 2}]},
+    }
+    with pytest.raises(SchemaError, match="trunc must be"):
+        docio.loads(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mutate-quiver", "--in", str(path), "--at", "1"]) == 2
+
+
+def test_cli_rejects_flags_a_subcommand_does_not_read():
+    rep = fixture("markov_rep.json")
+    assert main(["mutate-rep", "--in", rep, "--seq", "3", "--trunc", "2"]) == 2
+    assert main(["mutate-rep", "--in", rep, "--seq", "3", "--field", "fp:7"]) == 2
+    assert main(["dualize", "--in", rep, "--seed", "1"]) == 2
+    assert main(["mutate-qp", "--in", fixture("markov.json"), "--at", "3", "--seed", "1"]) == 2
+
+
+def test_cli_rejects_negative_counts():
+    qp = fixture("markov.json")
+    assert main(["probe-nondeg", "--in", qp, "--depth", "-1"]) == 2
+    assert main(["probe-nondeg", "--in", qp, "--trials", "-1"]) == 2
+
+
+def test_cli_mutate_quiver_field_tag(tmp_path):
+    out = tmp_path / "q.json"
+    assert main([
+        "mutate-quiver", "--in", fixture("markov.json"), "--at", str(MARKOV_K),
+        "--field", "fp:7", "--trunc", "5", "--out", str(out),
+    ]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["field"], doc["trunc"]) == ("Fp:7", 5)

@@ -8,13 +8,21 @@ import pytest
 from conftest import a2_qp, markov_qp, MARKOV_K
 from qpmut import (
     CONSTRUCTIONS,
+    QP,
+    Arrow,
     DecRep,
+    JetSpace,
     Mat,
+    MutationNotDefined,
+    Potential,
     QQ,
+    Quiver,
+    TruncationTooSmall,
     check_beta_alpha,
     check_module,
     constructions_agree,
     cyclic_derivative,
+    duality_witness,
     is_isomorphic,
     mutate_qp,
     mutate_rep,
@@ -257,3 +265,41 @@ def test_involution_pullback_simples(markov):
     m = negative_simple_rep(markov, MARKOV_K)
     w = involution_pullback(m, MARKOV_K)
     assert is_isomorphic(w, m).verdict == YES
+
+
+def test_mutation_premutates_the_qp_once_per_step(markov, monkeypatch):
+    import qpmut.mutation as mutmod
+    import qpmut.qp as qpmod
+
+    real = qpmod.premutate_qp
+    calls = []
+
+    def counting(qp, k):
+        calls.append(k)
+        return real(qp, k)
+
+    # premutate_qp is bound in both modules; count calls through either
+    monkeypatch.setattr(qpmod, "premutate_qp", counting)
+    monkeypatch.setattr(mutmod, "premutate_qp", counting)
+    m = random_valid_module(markov, random.Random(41), max_dim=3)
+    mutate_rep(m, MARKOV_K)
+    assert calls == [MARKOV_K]
+    calls.clear()
+    duality_witness(m, MARKOV_K)  # the module and its dual, once each
+    assert calls == [MARKOV_K, MARKOV_K]
+
+
+def test_mutation_checks_the_qp_before_the_module():
+    one = Mat.identity(QQ, 1)
+    # not a module: d/d(c1) = b1 a1 acts by 1; N = 3 is below the required 4
+    short = DecRep(markov_qp(order=3), {1: 1, 2: 1, 3: 1}, {"a1": one, "b1": one},
+                   {1: 0, 2: 0, 3: 0})
+    q = Quiver((1, 2), (Arrow("a", 1, 2), Arrow("b", 2, 1)))
+    # not nilpotent, and vertex 1 lies on the 2-cycle a b
+    two_cycle = DecRep(QP(q, Potential(JetSpace(q, 12, QQ).zero())), {1: 1, 2: 1},
+                       {"a": one, "b": one}, {1: 0, 2: 0})
+    for mutate in (mutate_rep, duality_witness):
+        with pytest.raises(TruncationTooSmall):
+            mutate(short, MARKOV_K)
+        with pytest.raises(MutationNotDefined):
+            mutate(two_cycle, 1)

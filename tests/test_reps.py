@@ -6,9 +6,11 @@ import pytest
 
 from conftest import a2_qp, markov_qp, MARKOV_K
 from qpmut import (
+    CertificateError,
     DecRep,
     Mat,
     QQ,
+    Report,
     TruncationTooSmall,
     build_triangle,
     check_module,
@@ -18,7 +20,7 @@ from qpmut import (
     simple_rep,
 )
 from qpmut.generate import random_valid_module, truncated_projective
-from qpmut.reps import path_matrix
+from qpmut.reps import is_intertwiner, is_isomorphism, path_matrix
 
 
 def a2_p1():
@@ -228,3 +230,41 @@ def test_path_action_is_ring_morphism(markov):
         u = space.idempotent(rng.choice((1, 2, 3))) if w1 == () else space.path(w1)
         v = space.idempotent(rng.choice((1, 2, 3))) if w2 == () else space.path(w2)
         assert path_action(m, u * v) == path_action(m, u) @ path_action(m, v)
+
+
+def test_report_derives_ok_and_failures_from_its_checks():
+    rpt = Report("demo")
+    assert rpt.ok and rpt.failures == [] and rpt.witness == {}
+    assert rpt.require() is rpt
+    rpt.note("holds", True)
+    rpt.note("breaks", False)
+    assert not rpt.ok
+    assert rpt.checks == [("holds", True), ("breaks", False)]
+    assert rpt.failures == ["breaks"]
+    with pytest.raises(CertificateError, match="breaks"):
+        rpt.require()
+
+
+def test_check_module_names_each_check():
+    qp = markov_qp()
+    dims = {1: 1, 2: 1, 3: 1}
+    maps = {"a1": Mat.identity(QQ, 1), "b1": Mat.identity(QQ, 1)}
+    rpt = check_module(DecRep(qp, dims, maps, {1: 0, 2: 0, 3: 0}))
+    assert rpt.checks[0] == ("nilpotent", True)
+    assert len(rpt.checks) == 1 + len(qp.quiver.arrows)
+    assert len(rpt.failures) == 1 and "c1" in rpt.failures[0]
+    with pytest.raises(CertificateError, match="c1"):
+        rpt.require()
+
+
+def test_is_isomorphism_needs_intertwiner_and_invertible(markov):
+    s = simple_rep(markov, 1)
+    ident = {v: Mat.identity(QQ, s.dims[v]) for v in markov.quiver.vertices}
+    zero = {v: Mat.zero(QQ, s.dims[v], s.dims[v]) for v in markov.quiver.vertices}
+    assert is_isomorphism(s, s, ident)
+    assert is_intertwiner(s, s, zero) and not is_isomorphism(s, s, zero)
+
+    p = a2_p1()
+    twist = {1: Mat.identity(QQ, 1), 2: Mat.identity(QQ, 1).scale(QQ.of(2))}
+    assert all(m.is_invertible() for m in twist.values())
+    assert not is_intertwiner(p, p, twist) and not is_isomorphism(p, p, twist)
