@@ -46,12 +46,12 @@ _CONSTRUCTION_NAMES = {
 
 def _default_trunc() -> int:
     env = os.environ.get("QPMUT_TRUNC")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return docio.DEFAULT_TRUNC
+    if not env:
+        return docio.DEFAULT_TRUNC
+    try:
+        return _positive(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise QpmutError(f"QPMUT_TRUNC={env!r} is not a positive integer") from None
 
 
 def _out(args, text: str) -> None:
@@ -90,7 +90,8 @@ def cmd_mutate_quiver(args) -> int:
     # the CLI spells field tags q and fp:<p>; documents use Q and Fp:<p>
     tag = args.field
     field = field_from_name({"q": "Q"}.get(tag.lower(), tag.replace("fp:", "Fp:")))
-    _out(args, docio.dumps(docio.emit_quiver(out, field, args.trunc or _default_trunc())))
+    trunc = _default_trunc() if args.trunc is None else args.trunc
+    _out(args, docio.dumps(docio.emit_quiver(out, field, trunc)))
     return EXIT_OK
 
 
@@ -227,6 +228,13 @@ def _count(raw: str) -> int:
     return n
 
 
+def _positive(raw: str) -> int:
+    n = int(raw)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not positive")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qpmut", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -238,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mutate-quiver", help="mutate a quiver at one vertex")
     common(p)
     p.add_argument("--field", default="q", help="q or fp:<p>")
-    p.add_argument("--trunc", type=int, default=None)
+    p.add_argument("--trunc", type=_positive, default=None)
     p.add_argument("--at", type=int, required=True)
     p.add_argument("--pre", action="store_true", help="premutation only")
     p.set_defaults(func=cmd_mutate_quiver)
 
     p = sub.add_parser("mutate-qp", help="mutate a QP along a vertex sequence")
     common(p)
-    p.add_argument("--trunc", type=int, default=None)
+    p.add_argument("--trunc", type=_positive, default=None)
     p.add_argument("--seq", default=None, help="comma-separated vertices")
     p.add_argument("--at", type=int, default=None, help="single vertex")
     p.set_defaults(func=cmd_mutate_qp)

@@ -82,7 +82,6 @@ def cyclic_derivative(s: Potential, aid: str) -> JetPoly:
     removed."""
     space = s.space
     q = space.quiver
-    out = space.zero()
     acc: dict[Path, object] = {}
     for p, coeff in s.jet.terms.items():
         w = p.arrows
@@ -102,7 +101,7 @@ def cyclic_derivative(s: Potential, aid: str) -> JetPoly:
                 acc[piece] = sacc
             else:
                 acc.pop(piece, None)
-    return out + JetPoly(space, acc)
+    return JetPoly(space, acc)
 
 
 def second_derivative(s: Potential, bid: str, aid: str) -> JetPoly:

@@ -30,6 +30,11 @@ def _require(cond: bool, msg: str):
         raise SchemaError(msg)
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: ``bool`` is a subclass of ``int`` but not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _scalar(field: Field, raw: Any, where: str):
     try:
         return field.parse(str(raw))
@@ -133,13 +138,11 @@ def _parse_header(doc: Any) -> tuple[str, Field, int]:
     _require(isinstance(doc, dict), "document must be an object")
     kind = doc.get("kind")
     _require(kind in ("quiver", "qp", "decrep"), f"unknown kind {kind!r}")
-    _require(doc.get("version") == FORMAT_VERSION, "unsupported format version")
+    version = doc.get("version")
+    _require(_is_int(version) and version == FORMAT_VERSION, "unsupported format version")
     field = field_from_name(doc.get("field", "Q"))
     trunc = doc.get("trunc", DEFAULT_TRUNC)
-    _require(
-        isinstance(trunc, int) and not isinstance(trunc, bool) and trunc >= 1,
-        "trunc must be a positive integer",
-    )
+    _require(_is_int(trunc) and trunc >= 1, "trunc must be a positive integer")
     _require("payload" in doc, "missing payload")
     return kind, field, trunc
 
@@ -147,7 +150,7 @@ def _parse_header(doc: Any) -> tuple[str, Field, int]:
 def _parse_quiver_payload(payload: Any) -> Quiver:
     _require(isinstance(payload, dict), "payload must be an object")
     verts = payload.get("vertices")
-    _require(isinstance(verts, list) and all(isinstance(v, int) for v in verts),
+    _require(isinstance(verts, list) and all(_is_int(v) for v in verts),
              "payload.vertices must be a list of integers")
     arrows_raw = payload.get("arrows")
     _require(isinstance(arrows_raw, list), "payload.arrows must be a list")
@@ -156,8 +159,8 @@ def _parse_quiver_payload(payload: Any) -> Quiver:
         _require(isinstance(a, dict), f"payload.arrows[{i}] must be an object")
         _require(
             isinstance(a.get("id"), str)
-            and isinstance(a.get("tail"), int)
-            and isinstance(a.get("head"), int),
+            and _is_int(a.get("tail"))
+            and _is_int(a.get("head")),
             f"payload.arrows[{i}] needs string id and integer tail/head",
         )
         arrows.append(Arrow(a["id"], a["tail"], a["head"]))
@@ -169,13 +172,28 @@ def _parse_potential(payload: Any, space: JetSpace) -> Potential:
     _require(isinstance(terms, list), "payload.potential must be a list")
     jet = space.zero()
     for i, t in enumerate(terms):
-        _require(isinstance(t, dict) and isinstance(t.get("cycle"), list),
-                 f"payload.potential[{i}] malformed")
+        _require(
+            isinstance(t, dict)
+            and isinstance(t.get("cycle"), list)
+            and all(isinstance(x, str) for x in t["cycle"]),
+            f"payload.potential[{i}] needs a cycle of arrow ids",
+        )
         _require(len(t["cycle"]) <= space.order,
                  f"payload.potential[{i}] is longer than the truncation order")
         coeff = _scalar(space.field, t.get("coeff", "1"), f"payload.potential[{i}]")
         jet = jet + space.path(tuple(t["cycle"])).scale(coeff)
     return cyclic_normalize(jet)
+
+
+def _parse_dims(payload: dict, key: str, q: Quiver) -> dict[int, int]:
+    """A dimension table: keys name vertices, values are integers >= 0."""
+    raw = payload.get(key, {})
+    _require(isinstance(raw, dict), f"{key} must be an object")
+    vertex = {str(v): v for v in q.vertices}
+    for k, v in raw.items():
+        _require(k in vertex, f"{key} names no vertex {k!r}")
+        _require(_is_int(v) and v >= 0, f"{key}[{k!r}] must be an integer >= 0, not {v!r}")
+    return {vertex[k]: v for k, v in raw.items()}
 
 
 def parse(doc: dict):
@@ -195,15 +213,8 @@ def parse(doc: dict):
     q = _parse_quiver_payload(payload["qp"])
     space = JetSpace(q, trunc, field)
     qp = QP(q, _parse_potential(payload["qp"], space))
-    dims_raw = payload.get("dims", {})
-    dec_raw = payload.get("decDims", {})
-    _require(isinstance(dims_raw, dict) and isinstance(dec_raw, dict),
-             "dims and decDims must be objects")
-    try:
-        dims = {int(k): int(v) for k, v in dims_raw.items()}
-        dec = {int(k): int(v) for k, v in dec_raw.items()}
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"bad dimension table: {e}") from e
+    dims = _parse_dims(payload, "dims", q)
+    dec = _parse_dims(payload, "decDims", q)
     mats_raw = payload.get("matrices", {})
     _require(isinstance(mats_raw, dict), "matrices must be an object")
     maps = {}

@@ -102,9 +102,40 @@ class RationalField(Field):
         return Fraction(s)
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with ``_MR_BASES``; exact for n below ``_MR_BOUND``."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= _MR_BOUND:
+            raise ValueError(f"{p} is beyond the exact primality bound {_MR_BOUND}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"Fp:{p}"
@@ -128,6 +159,8 @@ def GF(p: int) -> PrimeField:
 
 def field_from_name(name: str) -> Field:
     """Resolve a serialized field tag ("Q" or "Fp:<p>")."""
+    if not isinstance(name, str):
+        raise SchemaError(f"field tag must be a string, not {name!r}")
     if name == "Q":
         return QQ
     if name.startswith("Fp:"):

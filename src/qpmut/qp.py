@@ -1,14 +1,17 @@
 """Quivers with potential: premutation, reduction (splitting) and mutation.
 
 The splitting algorithm normalizes the degree-2 part of the potential into
-distinct opposite pairs by exact Gaussian elimination on the pairing matrix,
-then repeatedly absorbs every cycle that still touches a trivial arrow into
-the trivial part, one chosen occurrence per cycle per pass.  Each pass raises
-the minimal degree of the remaining coupling terms, so at most N passes run.
+distinct opposite pairs by exact Gaussian elimination on the pairing matrix.
+It then builds the reduced part and the splitting substitution together,
+degree by degree: at the least degree of the discrepancy between the
+normalized potential and the splitting applied to trivial + reduced part,
+each cycle that touches a trivial arrow is absorbed into a correction of
+that arrow's partner, and every other cycle joins the reduced part.  Each
+round clears one degree, so at most N rounds run.
 The output is never trusted: a SplitResult carries a certificate verifying
-all of its defining properties, including that the accumulated substitution
-carries reduced + trivial part back to the input potential up to cyclic
-equivalence modulo m^(N+1).
+all of its defining properties, including that the splitting carries
+reduced + trivial part back to the input potential up to cyclic equivalence
+modulo m^(N+1).
 """
 
 from __future__ import annotations
@@ -298,8 +301,7 @@ def split_reduce(qp: QP) -> SplitResult:
         return SplitResult(qp, empty_triv, identity_substitution(space), cert)
 
     lin_sub, pairs = _linear_normalization(qp)
-    cur = cyclic_normalize(apply_substitution(lin_sub, s0.jet))
-    s1 = cur  # the linearly normalized potential; the splitting targets it
+    s1 = cyclic_normalize(apply_substitution(lin_sub, s0.jet))
 
     partner = {u: v for u, v in pairs} | {v: u for u, v in pairs}
     trivial_ids = set(partner)
@@ -309,8 +311,6 @@ def split_reduce(qp: QP) -> SplitResult:
         lead arrow and add c times the rest to the correction of its
         partner."""
         rots = [r for r in rotations(q, p) if r.arrows[0] in trivial_ids]
-        if not rots:
-            raise CertificateError("discrepancy term avoids the trivial arrows")
         lead, *rest = min(rots, key=lambda r: r.arrows).arrows
         piece = Path(tuple(rest), q.tail(rest[-1]), q.head(rest[0]))
         aid = partner[lead]
@@ -321,63 +321,41 @@ def split_reduce(qp: QP) -> SplitResult:
         s_triv_jet = s_triv_jet + space.path((u, v))
     s_triv = cyclic_normalize(s_triv_jet)
 
-    if not cyclic_normalize(cur.degree2_part().jet - s_triv.jet).is_zero():
+    if not cyclic_normalize(s1.degree2_part().jet - s_triv.jet).is_zero():
         raise CertificateError("degree-2 normalization failed")
 
+    # d is the least degree of the discrepancy.  chi fixes the reduced arrows
+    # and corrects a trivial arrow only by terms of degree d - 1, so each
+    # round changes the discrepancy only in degree d and above, and clears d.
+    chi = identity_substitution(space)
+    s_red_jet = space.zero()
     for _ in range(n + 1):
-        corrections: dict[str, JetPoly] = {}
-        for p, c in cur.terms().items():
-            if p.length >= 3 and set(p.arrows) & trivial_ids:
-                absorb(p, c, corrections)
-        if not corrections:
+        delta = cyclic_normalize(s1.jet - apply_substitution(chi, s_triv.jet + s_red_jet))
+        if delta.is_zero():
             break
-        images = {
-            aid: space.arrow(aid) - corr for aid, corr in corrections.items()
-        }
-        psi = substitution_from_images(space, images)
-        cur = cyclic_normalize(apply_substitution(psi, cur.jet))
+        d = min(p.length for p in delta.terms())
+        additions: dict[str, JetPoly] = {}
+        for p, c in delta.terms().items():
+            if p.length != d:
+                continue
+            if trivial_ids.isdisjoint(p.arrows):
+                s_red_jet = s_red_jet + JetPoly(space, {p: c})
+            else:
+                absorb(p, c, additions)
+        chi = substitution_from_images(
+            space,
+            chi.images | {aid: chi.images[aid] + corr for aid, corr in additions.items()},
+        )
     else:
-        raise CertificateError("coupling terms survived the degree budget")
+        raise CertificateError("splitting construction exceeded the degree budget")
+    s_red = Potential(s_red_jet)
 
-    s_red = cur - s_triv
     reduced_quiver = q.without_arrows(trivial_ids)
     trivial_quiver = q.restricted_to_arrows(trivial_ids)
     red_space = JetSpace(reduced_quiver, n, qp.field)
     red_pot = _retype_potential(s_red, red_space)
     triv_space = JetSpace(trivial_quiver, n, qp.field)
     triv_pot = _retype_potential(s_triv, triv_space)
-
-    # Build the splitting forward, degree by degree: corrections on the
-    # trivial arrows absorb the discrepancy between the split potential and
-    # the linearly normalized input.  Every minimal-degree discrepancy term
-    # touches a trivial arrow (differences of trivial-only substitutions
-    # applied to the trivial 2-cycles are spanned by one-sided corrections),
-    # so each round strictly raises the discrepancy degree.
-    chi = substitution_from_images(space, {})
-    split_jet = (s_red + s_triv).jet
-    for _ in range(n + 1):
-        delta = cyclic_normalize(s1.jet - apply_substitution(chi, split_jet))
-        if delta.is_zero():
-            break
-        d = min(p.length for p in delta.terms())
-        additions: dict[str, JetPoly] = {}
-        for p, c in delta.terms().items():
-            if p.length == d:
-                absorb(p, c, additions)
-        chi = substitution_from_images(
-            space,
-            {
-                aid: chi.images[aid] + corr
-                for aid, corr in additions.items()
-            }
-            | {
-                aid: img
-                for aid, img in chi.images.items()
-                if aid not in additions
-            },
-        )
-    else:
-        raise CertificateError("splitting construction exceeded the degree budget")
     phi = compose_substitutions(invert_substitution(lin_sub), chi)
 
     cert = Report("split_reduce")

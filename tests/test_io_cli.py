@@ -1,14 +1,16 @@
 """Serialization round trips and the command-line interface."""
 
+import copy
 import json
 import os
 import re
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import markov_qp, MARKOV_K
-from qpmut import DecRep, InvariantError, QQ, SchemaError, GF
+from qpmut import DecRep, InvariantError, QQ, QpmutError, SchemaError, GF
 from qpmut import docio
 from qpmut.cli import main
 from qpmut.generate import random_valid_module
@@ -304,3 +306,127 @@ def test_cli_mutate_quiver_field_tag(tmp_path):
     ]) == 0
     doc = json.loads(out.read_text())
     assert (doc["field"], doc["trunc"]) == ("Fp:7", 5)
+
+
+def _set(*path_and_value):
+    """A change to a good decrep document: set the slot at ``path``."""
+    *path, value = path_and_value
+
+    def change(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return change
+
+
+@pytest.mark.parametrize("change,match", [
+    (_set("version", True), "unsupported format version"),
+    (_set("field", 5), "field tag must be a string"),
+    (_set("field", None), "field tag must be a string"),
+    (_set("payload", "dims", "1", 1.7), "dims"),
+    (_set("payload", "dims", "1", True), "dims"),
+    (_set("payload", "decDims", "3", 1.7), "decDims"),
+    (_set("payload", "decDims", "3", True), "decDims"),
+    (_set("payload", "dims", "7", 0), "names no vertex '7'"),
+    (_set("payload", "decDims", "7", 1), "names no vertex '7'"),
+    (_set("payload", "qp", "vertices", [True, 2, 3]), "vertices"),
+    (_set("payload", "qp", "arrows", 0, "tail", True), "tail/head"),
+    (_set("payload", "qp", "arrows", 0, "head", True), "tail/head"),
+    (_set("payload", "qp", "potential", 0, "cycle", ["c", ["b"], "a"]), "cycle of arrow ids"),
+], ids=[
+    "version-bool", "field-int", "field-null", "dims-float", "dims-bool", "decdims-float",
+    "decdims-bool", "dims-unknown-vertex", "decdims-unknown-vertex", "vertex-bool", "tail-bool",
+    "head-bool", "cycle-non-string",
+])
+def test_malformed_document_is_schema_error(tmp_path, change, match):
+    docio.parse(_doc_with_scalar("Q", "1", "matrix"))  # the unchanged document parses
+    doc = _doc_with_scalar("Q", "1", "matrix")
+    change(doc)
+    with pytest.raises(SchemaError, match=re.escape(match)):
+        docio.loads(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dualize", "--in", str(path)]) == 2
+
+
+@pytest.mark.parametrize("trunc", ["0", "-3", "abc"])
+def test_cli_rejects_a_non_positive_trunc(tmp_path, trunc):
+    out = tmp_path / "q.json"
+    assert main([
+        "mutate-quiver", "--in", fixture("markov.json"), "--at", str(MARKOV_K),
+        "--trunc", trunc, "--out", str(out),
+    ]) == 2
+    assert not out.exists()
+    assert main(["mutate-qp", "--in", fixture("markov.json"), "--at", "3", "--trunc", trunc]) == 2
+
+
+@pytest.mark.parametrize("env", ["abc", "-5", "0", "1.5"])
+def test_cli_rejects_a_bad_trunc_environment_variable(tmp_path, monkeypatch, capsys, env):
+    monkeypatch.setenv("QPMUT_TRUNC", env)
+    out = tmp_path / "q.json"
+    assert main([
+        "mutate-quiver", "--in", fixture("markov.json"), "--at", str(MARKOV_K),
+        "--out", str(out),
+    ]) == 2
+    assert not out.exists()
+    assert "QPMUT_TRUNC" in capsys.readouterr().err
+    # an explicit --trunc does not read the variable
+    assert main([
+        "mutate-quiver", "--in", fixture("markov.json"), "--at", str(MARKOV_K),
+        "--trunc", "7", "--out", str(out),
+    ]) == 0
+    assert json.loads(out.read_text())["trunc"] == 7
+
+
+_KEYS = ["kind", "version", "field", "trunc", "payload", "vertices", "arrows", "id",
+         "tail", "head", "potential", "cycle", "coeff", "qp", "dims", "decDims", "matrices"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 16) | st.floats(-4, 4) | st.text(max_size=5)
+    | st.sampled_from(["Q", "Fp:7", "Fp:561", "1/2", "1/0", "a", "b", "1", "2", "decrep"]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+def _good_documents():
+    docs = []
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(fixture(name), encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    return docs + [_doc_with_scalar("Q", "1", "matrix"), _doc_with_scalar("Fp:7", "3", "coeff")]
+
+
+@st.composite
+def _damaged_documents(draw):
+    """A good document with one to three slots replaced by random JSON or
+    removed."""
+    doc = copy.deepcopy(draw(st.sampled_from(_good_documents())))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+            elif isinstance(node, dict) and draw(st.integers(0, 4)) == 0:
+                del node[key]
+                break
+            else:
+                node[key] = draw(_JSON)
+                break
+    return json.dumps(doc)
+
+
+@given(st.one_of(_damaged_documents(), _JSON.map(json.dumps), st.text(max_size=40)))
+@settings(max_examples=300, deadline=None)
+def test_loads_raises_only_engine_errors(text):
+    try:
+        docio.loads(text)
+    except QpmutError:
+        pass

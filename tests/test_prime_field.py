@@ -1,10 +1,14 @@
 """The whole pipeline over a prime field."""
 
 import random
+import time
+
+import pytest
 
 from conftest import markov_qp, MARKOV_K
 from qpmut import (
     GF,
+    SchemaError,
     YES,
     check_module,
     cyclic_derivative,
@@ -15,6 +19,7 @@ from qpmut import (
     split_reduce,
     premutate_qp,
 )
+from qpmut.fields import field_from_name
 from qpmut.generate import random_qp, random_valid_module
 from qpmut.mutation import involution_pullback
 
@@ -58,3 +63,26 @@ def test_module_mutation_over_f7():
     w = involution_pullback(m, MARKOV_K)
     assert is_isomorphic(w, m, seed=11).verdict == YES
     assert duality_witness(m, MARKOV_K).ok
+
+
+def test_prime_field_primality_is_exact_and_fast():
+    t0 = time.monotonic()
+    assert field_from_name("Fp:2305843009213693951").p == 2**61 - 1
+    assert time.monotonic() - t0 < 1.0
+    # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2, and
+    # 3215031751 a strong pseudoprime to bases 2, 3, 5 and 7
+    for composite in (1, 561, 2047, 3215031751):
+        with pytest.raises(SchemaError, match="not prime"):
+            field_from_name(f"Fp:{composite}")
+    small_primes = [n for n in range(2, 3000) if all(n % q for q in range(2, int(n**0.5) + 1))]
+    accepted = []
+    for n in range(2, 3000):
+        try:
+            GF(n)
+        except ValueError:
+            continue
+        accepted.append(n)
+    assert accepted == small_primes
+    # beyond the bound where bases 2..41 decide primality, a tag is refused
+    with pytest.raises(SchemaError, match="bound"):
+        field_from_name(f"Fp:{3317044064679887385961981 + 2}")

@@ -400,3 +400,27 @@ def test_split_reduce_mixed_pairing_with_higher_terms():
     sr = split_reduce(qp)
     assert sr.certificate.ok
     assert len(sr.trivial.quiver.arrows) == 4  # rank-2 pairing swallows everything
+
+
+def _up_to(terms, degree):
+    return {p: c for p, c in terms.items() if p.length <= degree}
+
+
+def test_split_reduce_is_stable_under_raising_the_truncation_order():
+    # criterion 2's corpus split at N = 12 and at N = 15: the reduced and
+    # trivial parts agree up to degree N, and the splitting's images up to
+    # degree N - 1 (an image term of degree N comes from a potential term
+    # of degree N + 1, which only the higher order sees)
+    rng = random.Random(20240001)
+    n = 12
+    for _ in range(200):
+        qp = random_qp(rng, max_vertices=5, max_arrows=10, max_terms=8, max_len=5, order=n)
+        high = JetSpace(qp.quiver, n + 3, qp.field)
+        qp_high = QP(qp.quiver, cyclic_normalize(high.from_terms(dict(qp.potential.terms()))))
+        low, up = split_reduce(qp), split_reduce(qp_high)
+        for part in ("reduced", "trivial"):
+            lo, hi = getattr(low, part), getattr(up, part)
+            assert lo.quiver == hi.quiver
+            assert _up_to(hi.potential.terms(), n) == lo.potential.terms()
+        for aid, img in low.splitting.images.items():
+            assert _up_to(up.splitting.images[aid].terms, n - 1) == _up_to(img.terms, n - 1)
