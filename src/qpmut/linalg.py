@@ -1,10 +1,11 @@
-"""Exact dense linear algebra over a field.
+"""Exact linear algebra over a field.
 
-Matrices are small and dense; rows/columns may be zero-sized.  Every answer
-is read off one reduced row echelon form, which is unique, so every basis,
-retraction and quotient produced here is deterministic.  The complement of a
-subspace is spanned by the standard basis vectors at the pivot columns of
-[basis | I] past the basis itself.
+Matrices are stored dense, and rows/columns may be zero-sized.  Elimination
+works on each row's nonzeros only, and returns the reduced row echelon form,
+which is unique: every answer is read off one RREF, so every basis, retraction
+and quotient produced here is deterministic whatever the elimination order.
+The complement of a subspace is spanned by the standard basis vectors at the
+pivot columns of [basis | I] past the basis itself.
 """
 
 from __future__ import annotations
@@ -28,15 +29,8 @@ class Mat:
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Mat":
         z = field.zero
-        return Mat(field, [[z] * cols for _ in range(rows)]) if rows else Mat.empty(field, 0, cols)
-
-    @staticmethod
-    def empty(field: Field, rows: int, cols: int) -> "Mat":
-        m = Mat.__new__(Mat)
-        m.field = field
-        m.rows = rows
-        m.cols = cols
-        m.data = [[field.zero] * cols for _ in range(rows)]
+        m = Mat(field, [[z] * cols for _ in range(rows)])
+        m.cols = cols  # a 0-row matrix keeps its column count
         return m
 
     @staticmethod
@@ -78,8 +72,7 @@ class Mat:
         return f"Mat[{body}]"
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for r in self.data for x in r)
+        return not any(map(any, self.data))
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -88,7 +81,7 @@ class Mat:
             return Mat.zero(self.field, self.rows, self.cols)
         return Mat(
             self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            [[a + b if b else a for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
         )
 
     def __sub__(self, other: "Mat") -> "Mat":
@@ -102,7 +95,7 @@ class Mat:
     def scale(self, c) -> "Mat":
         if self.rows == 0 or self.cols == 0:
             return Mat.zero(self.field, self.rows, self.cols)
-        return Mat(self.field, [[c * x for x in r] for r in self.data])
+        return Mat(self.field, [[c * x if x else x for x in r] for r in self.data])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -151,28 +144,44 @@ class Mat:
 
     # -- elimination ---------------------------------------------------
     def rref(self) -> tuple["Mat", list[int]]:
-        """Reduced row echelon form and pivot column indices."""
+        """Reduced row echelon form and pivot column indices.
+
+        Rows are eliminated as ``{col: value}`` dicts of their nonzeros: each
+        pivot step touches only the rows with a nonzero in the pivot column,
+        and in them only the pivot row's nonzero columns."""
         if self.rows == 0 or self.cols == 0:
             return Mat.zero(self.field, self.rows, self.cols), []
-        a = [r[:] for r in self.data]
+        rest = [d for d in ({j: x for j, x in enumerate(r) if x} for r in self.data) if d]
+        done: list[dict] = []
         pivots: list[int] = []
-        row = 0
         for col in range(self.cols):
-            piv = next((r for r in range(row, self.rows) if a[r][col]), None)
-            if piv is None:
-                continue
-            a[row], a[piv] = a[piv], a[row]
-            inv = self.field.one / a[row][col]
-            a[row] = [x * inv for x in a[row]]
-            for r in range(self.rows):
-                if r != row and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-            pivots.append(col)
-            row += 1
-            if row == self.rows:
+            if not rest:
                 break
-        return Mat(self.field, a), pivots
+            hits = [i for i, r in enumerate(rest) if col in r]
+            if not hits:
+                continue
+            # the sparsest candidate as pivot row creates the least fill-in
+            prow = rest.pop(min(hits, key=lambda i: len(rest[i])))
+            inv = self.field.one / prow[col]
+            prow = {j: x * inv for j, x in prow.items()}
+            for r in done + rest:
+                f = r.get(col)
+                if f is None:
+                    continue
+                for j, y in prow.items():
+                    x = r.get(j)
+                    x = -f * y if x is None else x - f * y
+                    if x:
+                        r[j] = x
+                    else:
+                        del r[j]
+            done.append(prow)
+            pivots.append(col)
+        out = Mat.zero(self.field, self.rows, self.cols)
+        for orow, r in zip(out.data, done):
+            for j, x in r.items():
+                orow[j] = x
+        return out, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -1,4 +1,5 @@
-"""Exact matrix kernels, images, quotients; cross-checked against sympy."""
+"""Exact matrix kernels, images, quotients; cross-checked against sympy and
+a plain Gauss-Jordan reference over F_p."""
 
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 import sympy
 
 from qpmut import QQ, ShapeError
+from qpmut.fields import PrimeField
 from qpmut.linalg import (
     Mat,
     coords_in,
@@ -25,6 +27,87 @@ def _rand(rng, rows, cols, lo=-4, hi=4):
 
 def _to_sympy(m: Mat):
     return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.data[i][j]))
+
+
+def _sparse(rng, rows, cols, density=0.05):
+    """A rows x cols matrix with about ``density`` nonzeros, a zero row and a
+    zero column."""
+    zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+    return Mat(QQ, [
+        [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+         if i != zero_row and j != zero_col and rng.random() < density else Fraction(0)
+         for j in range(cols)]
+        for i in range(rows)
+    ])
+
+
+def test_rref_equals_sympy_exactly():
+    rng = random.Random(6)
+    mats = [Mat.zero(QQ, 0, 5), Mat.zero(QQ, 5, 0), Mat.zero(QQ, 0, 0), Mat.zero(QQ, 3, 4)]
+    mats += [_sparse(rng, rng.randint(1, 40), rng.randint(1, 60)) for _ in range(20)]
+    mats += [_rand(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(30)]
+    for m in mats:
+        R, pivots = m.rref()
+        sympy_R, sympy_pivots = _to_sympy(m).rref()
+        assert (R.rows, R.cols) == (m.rows, m.cols)
+        assert _to_sympy(R) == sympy_R
+        assert tuple(pivots) == sympy_pivots
+
+
+def _gauss_jordan_mod(rows: list[list[int]], cols: int, p: int):
+    """Reference RREF over F_p: the textbook dense elimination, column by
+    column, clearing the pivot column in every other row."""
+    a = [[x % p for x in r] for r in rows]
+    pivots = []
+    for c in range(cols):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        inv = pow(a[top][c], p - 2, p)
+        a[top] = [x * inv % p for x in a[top]]
+        for i in range(len(a)):
+            if i != top and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[top])]
+        pivots.append(c)
+    return a, pivots
+
+
+def test_rref_over_fp_matches_reference():
+    p = 7
+    field = PrimeField(p)
+    rng = random.Random(7)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        density = rng.choice([0.1, 0.5, 1.0])
+        ints = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)]
+        m = Mat.from_int_rows(field, ints) if rows else Mat.zero(field, 0, cols)
+        R, pivots = m.rref()
+        assert (R.rows, R.cols) == (rows, cols)
+        assert ([[x.v for x in r] for r in R.data], pivots) == _gauss_jordan_mod(ints, cols, p)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_scale_add_is_zero_keep_shapes_and_values_with_zero_entries(field):
+    rows = [[0, 3, 0], [0, 0, 0], [5, 0, -1]]
+    other = [[2, 0, 0], [0, 0, 0], [-5, 0, 4]]
+    a, b = Mat.from_int_rows(field, rows), Mat.from_int_rows(field, other)
+    assert a.scale(field.of(3)) == Mat.from_int_rows(field, [[3 * x for x in r] for r in rows])
+    assert a + b == Mat.from_int_rows(
+        field, [[x + y for x, y in zip(r, s)] for r, s in zip(rows, other)]
+    )
+    assert b + a == a + b
+    assert not a.is_zero() and not b.is_zero()
+    assert a.scale(field.zero).is_zero() and (a - a).is_zero()
+    assert Mat.from_int_rows(field, [[0, 0], [0, 0]]).is_zero()
+    for r, c in [(0, 3), (3, 0), (2, 3)]:
+        z = Mat.zero(field, r, c)
+        for m in (z.scale(field.of(2)), z + z, z):
+            assert (m.rows, m.cols) == (r, c) and m.is_zero()
+            assert m == Mat.zero(field, r, c)
 
 
 def test_kernel_of_identity_is_zero():

@@ -26,7 +26,7 @@ from qpmut import (
     same_up_to_vertex_fixing_iso,
     split_reduce,
 )
-from qpmut.generate import random_qp
+from qpmut.generate import _random_cycles, random_qp
 from qpmut.mutation import double_premutation_equiv, double_premutation_potential_identity
 
 
@@ -406,6 +406,11 @@ def _up_to(terms, degree):
     return {p: c for p, c in terms.items() if p.length <= degree}
 
 
+def _raised_order(qp, order):
+    space = JetSpace(qp.quiver, order, qp.field)
+    return QP(qp.quiver, cyclic_normalize(space.from_terms(dict(qp.potential.terms()))))
+
+
 def test_split_reduce_is_stable_under_raising_the_truncation_order():
     # criterion 2's corpus split at N = 12 and at N = 15: the reduced and
     # trivial parts agree up to degree N, and the splitting's images up to
@@ -415,12 +420,54 @@ def test_split_reduce_is_stable_under_raising_the_truncation_order():
     n = 12
     for _ in range(200):
         qp = random_qp(rng, max_vertices=5, max_arrows=10, max_terms=8, max_len=5, order=n)
-        high = JetSpace(qp.quiver, n + 3, qp.field)
-        qp_high = QP(qp.quiver, cyclic_normalize(high.from_terms(dict(qp.potential.terms()))))
-        low, up = split_reduce(qp), split_reduce(qp_high)
+        low, up = split_reduce(qp), split_reduce(_raised_order(qp, n + 3))
         for part in ("reduced", "trivial"):
             lo, hi = getattr(low, part), getattr(up, part)
             assert lo.quiver == hi.quiver
             assert _up_to(hi.potential.terms(), n) == lo.potential.terms()
         for aid, img in low.splitting.images.items():
             assert _up_to(up.splitting.images[aid].terms, n - 1) == _up_to(img.terms, n - 1)
+
+
+def _markov_with_extra_cycles(rng, n):
+    # the Markov potential plus a few random cycles of degree up to 6
+    markov = markov_qp(order=n)
+    jet = markov.potential.jet
+    for w in _random_cycles(rng, markov.quiver, 6, rng.randint(1, 3)):
+        jet = jet + markov.space.path(w).scale(QQ.of(rng.choice([-2, -1, 1, 2])))
+    return QP(markov.quiver, cyclic_normalize(jet))
+
+
+def test_mutation_sequences_are_stable_under_raising_the_truncation_order():
+    # seeded mutate_qp sequences run at N and at N + 5 in step: after every
+    # step that both orders take, the quivers agree and the reduced
+    # potentials agree on every term of degree <= N.  A sequence ends where
+    # either order refuses with TruncationTooSmall (its potential reached
+    # that order); a vertex on a 2-cycle must be refused at both orders.
+    rng = random.Random(20240005)
+    n = 7
+    qps = [markov_qp(order=n)] * 3 + [_markov_with_extra_cycles(rng, n) for _ in range(30)]
+    while len(qps) < 70:
+        qp = random_qp(rng, max_vertices=4, max_arrows=6, max_terms=6, max_len=5, order=n)
+        if qp.quiver.is_2_acyclic():
+            qps.append(qp)
+    compared = beyond_n = 0
+    for qp in qps:
+        low, high = qp, _raised_order(qp, n + 5)
+        for k in [rng.choice(qp.quiver.vertices) for _ in range(5)]:
+            try:
+                low_next = mutate_qp(low, k)[0]
+                high = mutate_qp(high, k)[0]
+            except TruncationTooSmall:
+                break
+            except MutationNotDefined:
+                with pytest.raises(MutationNotDefined):
+                    mutate_qp(high, k)
+                break
+            low = low_next
+            assert low.quiver == high.quiver
+            assert _up_to(high.potential.terms(), n) == low.potential.terms()
+            compared += 1
+            beyond_n += any(p.length > n for p in high.potential.terms())
+    # the comparison is not vacuous: many steps, some with terms past N
+    assert compared > 300 and beyond_n > 0
