@@ -1,9 +1,12 @@
 """Exact scalar arithmetic: the rationals and prime fields.
 
 Every computation in the engine runs over exactly one field object.  Field
-elements are plain values supporting ``+ - * /``, ``==`` and ``bool``:
-``fractions.Fraction`` for the rationals, :class:`FpElem` for a prime field.
-No floating point is used anywhere.
+elements are plain values supporting ``+ - *``, ``==`` and ``bool``.  A
+rational is an ``int``, or a ``fractions.Fraction`` when a denominator is
+needed; the two mix exactly, and agree in ``==``, ``hash`` and ``str`` on
+integral values.  An element of a prime field is an :class:`FpElem`.
+Division goes only through :meth:`Field.inv`, because ``int / int`` is a
+float; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -79,6 +82,10 @@ class Field:
     def parse(self, s: str):
         raise NotImplementedError
 
+    def inv(self, x):
+        """The inverse of a nonzero x; ZeroDivisionError for zero."""
+        return self.one / x
+
     def to_str(self, x) -> str:
         return str(x)
 
@@ -96,10 +103,24 @@ class RationalField(Field):
     name = "Q"
 
     def of(self, n: int):
-        return Fraction(n)
+        if type(n) is not int:
+            raise ContextError(f"a rational is built from an int, not {n!r}")
+        return n
 
     def parse(self, s: str):
-        return Fraction(s)
+        digits = s[1:] if s[:1] == "-" else s
+        if digits.isascii() and digits.isdigit():
+            return int(s)
+        x = Fraction(s)
+        return x.numerator if x.denominator == 1 else x
+
+    def inv(self, x):
+        """An int for a unit numerator: +-1 returns itself, so a unit pivot
+        keeps its row integral.  Otherwise a Fraction."""
+        n, d = x.numerator, x.denominator
+        if n in (1, -1):
+            return n * d
+        return Fraction(d, n)
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly

@@ -162,7 +162,7 @@ class Mat:
                 continue
             # the sparsest candidate as pivot row creates the least fill-in
             prow = rest.pop(min(hits, key=lambda i: len(rest[i])))
-            inv = self.field.one / prow[col]
+            inv = self.field.inv(prow[col])
             prow = {j: x * inv for j, x in prow.items()}
             for r in done + rest:
                 f = r.get(col)

@@ -229,7 +229,7 @@ def _pivot_normal_form(c: Mat):
         j = next((jj for jj in range(n) if jj not in used_cols and d.data[i][jj]), None)
         if j is None:
             continue
-        inv = fld.one / d.data[i][j]
+        inv = fld.inv(d.data[i][j])
         d.data[i] = [v * inv for v in d.data[i]]
         x.data[i] = [v * inv for v in x.data[i]]
         for r in range(m):

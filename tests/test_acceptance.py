@@ -8,6 +8,7 @@ is reproducible bit for bit.
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -189,6 +190,40 @@ def test_criterion_4_four_construction_equivalence():
     elapsed = time.monotonic() - t0
     _report("criterion 4: four constructions pairwise isomorphic on 100 modules",
             undecided == 0 and elapsed < 120.0, f"{elapsed:.1f}s")
+
+
+def _assert_exact(values):
+    """Every scalar is an int or a Fraction: no float, and no bool."""
+    bad = [x for x in values if type(x) not in (int, Fraction)]
+    assert not bad, bad[:5]
+
+
+def _entries(mats):
+    return [x for m in mats for row in m.data for x in row]
+
+
+def test_no_scalar_is_a_float():
+    rep = docio.load_path("fixtures/markov_rep.json")
+    for k in (3, 1, 2, 3, 1, 2):
+        rep = mutate_rep(rep, k)
+        _assert_exact(_entries(rep.maps.values()))
+
+    for m, k in _module_corpus(random.Random(20240003), 100, max_dim=3):
+        pms = {kind: premutate_rep(m, k, kind, require_valid=False).rep
+               for kind in CONSTRUCTIONS}
+        for i, k1 in enumerate(CONSTRUCTIONS):
+            for k2 in CONSTRUCTIONS[i + 1:]:
+                res = is_isomorphic(pms[k1], pms[k2], seed=1)
+                _assert_exact(_entries(res.certificate.values()))
+
+    rng = random.Random(11)
+    for n in range(1, 7):
+        a = Mat.from_int_rows(QQ, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        b = Mat.from_int_rows(QQ, [[rng.randint(-3, 3)] for _ in range(n)])
+        outs = [a.rref()[0]]
+        if a.is_invertible():
+            outs += [a.solve(b), a.inverse()]
+        _assert_exact(_entries(outs))
 
 
 def test_criterion_5_annihilation():

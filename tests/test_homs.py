@@ -66,6 +66,26 @@ def test_nonisomorphic_same_dims(markov):
     joined = DecRep(qp, {1: 1, 2: 1}, {"a": Mat.identity(QQ, 1)}, {1: 0, 2: 0})
     res = is_isomorphic(split, joined)
     assert res.verdict == NO
+    assert res.obstruction == "endomorphism algebras have different dimensions"
+
+
+def test_yes_builds_one_hom_space(markov, monkeypatch):
+    import qpmut.homs
+    calls = []
+    real = qpmut.homs.hom_space
+
+    def counting(m, n):
+        calls.append((m, n))
+        return real(m, n)
+
+    monkeypatch.setattr(qpmut.homs, "hom_space", counting)
+    rng = random.Random(203)
+    for _ in range(5):
+        m = random_valid_module(markov, rng, max_dim=4)
+        n, _ = base_change(m, rng)
+        calls.clear()
+        assert is_isomorphic(m, n, seed=1).verdict == YES
+        assert calls == [(m, n)]
 
 
 def test_hom_space_counts(markov):

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,6 +267,28 @@ def test_malformed_scalar_is_schema_error(tmp_path, field, raw, where):
     doc = _doc_with_scalar(field, raw, where)
     docio.parse(_doc_with_scalar(field, "1", where))  # a good scalar parses
     with pytest.raises(SchemaError, match=re.escape(repr(raw))):
+        docio.loads(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dualize", "--in", str(path)]) == 2
+
+
+@pytest.mark.parametrize("s", ["0", "-0", "+3", " 3 ", "1_0", "\u0663", "3.0", "2/1", "-3/4",
+                               "1e3", "", "-", "1/0", "abc"])
+def test_rational_parse_agrees_with_fraction(tmp_path, s):
+    try:
+        want = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    if want is not None:
+        got = QQ.parse(s)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+        return
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        QQ.parse(s)
+    doc = _doc_with_scalar("Q", s, "matrix")
+    with pytest.raises(SchemaError, match=re.escape(repr(s))):
         docio.loads(json.dumps(doc))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -2,12 +2,15 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from conftest import markov_qp, MARKOV_K
 from qpmut import (
+    ContextError,
     GF,
+    QQ,
     SchemaError,
     YES,
     check_module,
@@ -35,6 +38,35 @@ def test_field_arithmetic():
     assert a / b == a * F7.of(3)  # 5^{-1} = 3 mod 7
     assert -a == F7.of(4)
     assert bool(F7.of(7)) is False
+
+
+@pytest.mark.parametrize("x", [1.0, 0.5, True, False, Fraction(1), "1", None])
+def test_rational_of_refuses_anything_but_an_int(x):
+    with pytest.raises(ContextError):
+        QQ.of(x)
+
+
+def test_rational_of_keeps_an_int():
+    for n in (0, 1, -1, 7, 10 ** 40):
+        assert type(QQ.of(n)) is int and QQ.of(n) == n
+    assert type(QQ.zero) is int and type(QQ.one) is int
+
+
+@pytest.mark.parametrize("fld", [QQ, F7], ids=["Q", "Fp:7"])
+def test_field_inv(fld):
+    for x in [fld.of(n) for n in (1, -1, 2, -3, 5)]:
+        assert x * fld.inv(x) == fld.one
+    with pytest.raises(ZeroDivisionError):
+        fld.inv(fld.zero)
+
+
+def test_rational_inv_keeps_units_integral():
+    cases = [(1, 1), (-1, -1), (Fraction(-1, 4), -4), (2, Fraction(1, 2)),
+             (Fraction(2, 3), Fraction(3, 2))]
+    for x, want in cases:
+        got = QQ.inv(x)
+        assert got == want and type(got) is type(want)
+        assert x * got == 1
 
 
 def test_markov_reduction_over_f7():
