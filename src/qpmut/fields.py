@@ -108,9 +108,6 @@ class RationalField(Field):
         return n
 
     def parse(self, s: str):
-        digits = s[1:] if s[:1] == "-" else s
-        if digits.isascii() and digits.isdigit():
-            return int(s)
         x = Fraction(s)
         return x.numerator if x.denominator == 1 else x
 

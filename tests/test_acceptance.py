@@ -171,6 +171,16 @@ def test_criterion_3_triangle_identities():
             elapsed < 60.0, f"{checked} checks, {elapsed:.1f}s")
 
 
+def _assert_exact(values):
+    """Every scalar is an int or a Fraction: no float, and no bool."""
+    bad = [x for x in values if type(x) not in (int, Fraction)]
+    assert not bad, bad[:5]
+
+
+def _entries(mats):
+    return [x for m in mats for row in m.data for x in row]
+
+
 def test_criterion_4_four_construction_equivalence():
     t0 = time.monotonic()
     rng = random.Random(20240003)
@@ -187,19 +197,10 @@ def test_criterion_4_four_construction_equivalence():
                 if res.verdict != YES:
                     undecided += 1
                 assert res.verdict == YES
+                _assert_exact(_entries(res.certificate.values()))
     elapsed = time.monotonic() - t0
     _report("criterion 4: four constructions pairwise isomorphic on 100 modules",
             undecided == 0 and elapsed < 120.0, f"{elapsed:.1f}s")
-
-
-def _assert_exact(values):
-    """Every scalar is an int or a Fraction: no float, and no bool."""
-    bad = [x for x in values if type(x) not in (int, Fraction)]
-    assert not bad, bad[:5]
-
-
-def _entries(mats):
-    return [x for m in mats for row in m.data for x in row]
 
 
 def test_no_scalar_is_a_float():
@@ -207,14 +208,6 @@ def test_no_scalar_is_a_float():
     for k in (3, 1, 2, 3, 1, 2):
         rep = mutate_rep(rep, k)
         _assert_exact(_entries(rep.maps.values()))
-
-    for m, k in _module_corpus(random.Random(20240003), 100, max_dim=3):
-        pms = {kind: premutate_rep(m, k, kind, require_valid=False).rep
-               for kind in CONSTRUCTIONS}
-        for i, k1 in enumerate(CONSTRUCTIONS):
-            for k2 in CONSTRUCTIONS[i + 1:]:
-                res = is_isomorphic(pms[k1], pms[k2], seed=1)
-                _assert_exact(_entries(res.certificate.values()))
 
     rng = random.Random(11)
     for n in range(1, 7):

@@ -83,7 +83,7 @@ def test_invert_scaling():
     s = _premuted_space()
     phi = substitution_from_images(s, {"a1*": s.arrow("a1*").scale(QQ.of(2))})
     inv = invert_substitution(phi)
-    assert inv.images["a1*"] == s.arrow("a1*").scale(QQ.of(1) / QQ.of(2))
+    assert inv.images["a1*"] == s.arrow("a1*").scale(QQ.inv(QQ.of(2)))
 
 
 def test_invert_unitriangular_roundtrip():
