@@ -32,7 +32,6 @@ from .linalg import (
     block_matrix,
     coords_in,
     hstack,
-    independent_columns,
     intersect_column_spaces,
     subspace_package,
     vstack,

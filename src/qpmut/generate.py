@@ -12,7 +12,7 @@ import random
 from .cycles import cyclic_derivative, cyclic_normalize
 from .fields import QQ, Field
 from .jets import JetSpace
-from .linalg import Mat, block_diag, hstack, independent_columns, subspace_package
+from .linalg import Mat, block_diag, hstack, subspace_package
 from .qp import QP
 from .quiver import Arrow, Path, Quiver
 from .reps import DecRep
@@ -149,7 +149,7 @@ def truncated_projective(qp: QP, ell: int, power: int) -> DecRep:
             if gens_by_head[v]
             else Mat.zero(fld, n, 0)
         )
-        basis = independent_columns(gen_mat)
+        basis = gen_mat.image_basis()
         _, proj, sec = subspace_package(basis)
         dims[v] = proj.rows
         projs[v] = proj
@@ -162,18 +162,15 @@ def truncated_projective(qp: QP, ell: int, power: int) -> DecRep:
         if dims[a.tail] and dims[a.head]:
             cols = []
             for j in range(dims[a.tail]):
-                rep_vec = reps[a.tail].col(j)
                 img_terms: dict[Path, object] = {}
                 for i, p in enumerate(src):
-                    c = rep_vec.data[i][0]
+                    c = reps[a.tail].entry(i, j)
                     if not c or p.length + 1 >= power:
                         continue
                     word = (a.id,) + p.arrows
                     img_terms[Path(word, ell, a.head)] = c
-                vec = truncate_to_vector(img_terms, a.head)
-                cols.append(Mat.column(fld, vec))
-            img = hstack(fld, cols, rows=len(by_head[a.head]))
-            m = projs[a.head] @ img
+                cols.append(truncate_to_vector(img_terms, a.head))
+            m = projs[a.head] @ Mat(fld, cols).T
         maps[a.id] = m
     return DecRep(qp, dims, maps, {v: 0 for v in q.vertices})
 
@@ -219,13 +216,13 @@ def random_quotient(rep: DecRep, rng: random.Random) -> DecRep:
     v0 = rng.choice(verts)
     vec = Mat(fld, [[fld.of(rng.randint(-1, 1))] for _ in range(rep.dims[v0])])
     spans = {v: Mat.zero(fld, rep.dims[v], 0) for v in q.vertices}
-    spans[v0] = independent_columns(vec)
+    spans[v0] = vec.image_basis()
     changed = True
     while changed:
         changed = False
         for a in q.arrows:
             img = rep.maps[a.id] @ spans[a.tail]
-            combined = independent_columns(hstack(fld, [spans[a.head], img], rows=rep.dims[a.head]))
+            combined = hstack(fld, [spans[a.head], img], rows=rep.dims[a.head]).image_basis()
             if combined.cols > spans[a.head].cols:
                 spans[a.head] = combined
                 changed = True

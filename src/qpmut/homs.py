@@ -41,36 +41,39 @@ def hom_space(m: DecRep, n: DecRep) -> HomSpace:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
 
-    rows: list[list] = []
+    zero = fld.zero
+    rows: list[dict] = []
     for a in m.qp.quiver.arrows:
-        am, an = m.maps[a.id], n.maps[a.id]
+        am, an = m.maps[a.id].data, n.maps[a.id].data
         h, t = a.head, a.tail
         for p in range(n.dims[h]):
             for q in range(m.dims[t]):
-                row = [fld.zero] * total
+                row: dict = {}
                 # (g_h @ am)[p][q] = sum_r g_h[p][r] am[r][q]
                 for r in range(m.dims[h]):
-                    coeff = am.data[r][q]
+                    coeff = am[r][q]
                     if coeff:
-                        row[offsets[h] + p * m.dims[h] + r] += coeff
+                        k = offsets[h] + p * m.dims[h] + r
+                        row[k] = row.get(k, zero) + coeff
                 # -(an @ g_t)[p][q] = -sum_s an[p][s] g_t[s][q]
                 for s in range(n.dims[t]):
-                    coeff = an.data[p][s]
+                    coeff = an[p][s]
                     if coeff:
-                        row[offsets[t] + s * m.dims[t] + q] -= coeff
+                        k = offsets[t] + s * m.dims[t] + q
+                        row[k] = row.get(k, zero) - coeff
                 rows.append(row)
 
-    system = Mat(fld, rows) if rows else Mat.zero(fld, 0, total)
-    kernel = system.kernel_basis()
+    kernel = Mat.from_rows(fld, rows, total).kernel_basis()
     basis = []
     for j in range(kernel.cols):
         blocks = {}
         for v in verts:
-            g = Mat.zero(fld, n.dims[v], m.dims[v])
-            for p in range(n.dims[v]):
-                for q in range(m.dims[v]):
-                    g.data[p][q] = kernel.data[offsets[v] + p * m.dims[v] + q][j]
-            blocks[v] = g
+            o, dm = offsets[v], m.dims[v]
+            blocks[v] = Mat.from_rows(
+                fld,
+                [{q: kernel.entry(o + p * dm + q, j) for q in range(dm)} for p in range(n.dims[v])],
+                dm,
+            )
         basis.append(blocks)
     return HomSpace(basis)
 

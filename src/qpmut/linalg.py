@@ -1,11 +1,14 @@
 """Exact linear algebra over a field.
 
-Matrices are stored dense, and rows/columns may be zero-sized.  Elimination
-works on each row's nonzeros only, and returns the reduced row echelon form,
-which is unique: every answer is read off one RREF, so every basis, retraction
-and quotient produced here is deterministic whatever the elimination order.
-The complement of a subspace is spanned by the standard basis vectors at the
-pivot columns of [basis | I] past the basis itself.
+A matrix stores its rows as ``{col: value}`` dicts of their nonzeros, with an
+explicit shape, so rows and columns may be zero-sized and every operation
+costs the nonzeros it visits, not the cells.  No zero is stored, and a row
+dict is never changed once its matrix is built, so matrices share rows.  Only
+this module sees the dicts.  Elimination returns the reduced row echelon
+form, which is unique: every answer is read off one RREF, so every basis,
+retraction and quotient produced here is deterministic whatever the
+elimination order.  The complement of a subspace is spanned by the standard
+basis vectors at the pivot columns of [basis | I] past the basis itself.
 """
 
 from __future__ import annotations
@@ -15,55 +18,70 @@ from .fields import Field
 
 
 class Mat:
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "_nz")
 
-    def __init__(self, field: Field, data: list[list]):
-        self.field = field
-        self.data = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        if any(len(r) != self.cols for r in data):
+    def __init__(self, field: Field, data):
+        """The matrix with the nested rows ``data``; an empty list is 0x0."""
+        cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
             raise ShapeError("ragged rows")
+        self.field, self.rows, self.cols = field, len(data), cols
+        self._nz = [{j: x for j, x in enumerate(r) if x} for r in data]
+
+    @staticmethod
+    def _of(field: Field, nz: list[dict], cols: int) -> "Mat":
+        """Wrap row dicts that hold no zero and are not changed afterwards."""
+        m = Mat.__new__(Mat)
+        m.field, m.rows, m.cols, m._nz = field, len(nz), cols, nz
+        return m
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    def from_rows(field: Field, rows: list[dict], cols: int) -> "Mat":
+        """The matrix whose row i has the entries ``rows[i]`` ({col: x});
+        zero values are dropped and the dicts are not kept."""
+        nz = [{j: x for j, x in r.items() if x} for r in rows]
+        if any(not 0 <= j < cols for r in nz for j in r):
+            raise ShapeError("column index out of range")
+        return Mat._of(field, nz, cols)
+
+    @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Mat":
-        z = field.zero
-        m = Mat(field, [[z] * cols for _ in range(rows)])
-        m.cols = cols  # a 0-row matrix keeps its column count
-        return m
+        return Mat._of(field, [{} for _ in range(rows)], cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        m = Mat.zero(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        one = field.one
+        return Mat._of(field, [{i: one} for i in range(n)], n)
 
     @staticmethod
     def from_int_rows(field: Field, rows: list[list[int]]) -> "Mat":
         return Mat(field, [[field.of(x) for x in r] for r in rows])
 
-    @staticmethod
-    def column(field: Field, entries: list) -> "Mat":
-        return Mat(field, [[e] for e in entries])
+    # -- reads --------------------------------------------------------
+    def entry(self, i: int, j: int):
+        return self._nz[i].get(j, self.field.zero)
 
-    # -- basics -------------------------------------------------------
-    def copy(self) -> "Mat":
-        if self.rows == 0 or self.cols == 0:
-            return Mat.zero(self.field, self.rows, self.cols)
-        return Mat(self.field, [r[:] for r in self.data])
+    @property
+    def data(self) -> tuple[tuple, ...]:
+        """Row-major read-only view: a tuple of rows, each a tuple of all
+        ``cols`` entries."""
+        z = self.field.zero
+        out = []
+        for r in self._nz:
+            row = [z] * self.cols
+            for j, x in r.items():
+                row[j] = x
+            out.append(tuple(row))
+        return tuple(out)
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and other.rows == self.rows
             and other.cols == self.cols
-            and other.data == self.data
+            and other._nz == self._nz
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -72,86 +90,81 @@ class Mat:
         return f"Mat[{body}]"
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not any(self._nz)
 
+    # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("add shape mismatch")
-        if self.rows == 0 or self.cols == 0:
-            return Mat.zero(self.field, self.rows, self.cols)
-        return Mat(
-            self.field,
-            [[a + b if b else a for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
+        out = []
+        for a, b in zip(self._nz, other._nz):
+            if not (a and b):
+                out.append(a or b)
+                continue
+            r = dict(a)
+            for j, y in b.items():
+                x = r.get(j)
+                x = y if x is None else x + y
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+            out.append(r)
+        return Mat._of(self.field, out, self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        if self.rows == 0 or self.cols == 0:
-            return Mat.zero(self.field, self.rows, self.cols)
-        return Mat(self.field, [[-x for x in r] for r in self.data])
+        return Mat._of(self.field, [{j: -x for j, x in r.items()} for r in self._nz], self.cols)
 
     def scale(self, c) -> "Mat":
-        if self.rows == 0 or self.cols == 0:
+        if not c:
             return Mat.zero(self.field, self.rows, self.cols)
-        return Mat(self.field, [[c * x if x else x for x in r] for r in self.data])
+        return Mat._of(self.field, [{j: c * x for j, x in r.items()} for r in self._nz], self.cols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """Each left row's nonzeros pick the right rows whose nonzeros they
+        combine."""
         if self.cols != other.rows:
             raise ShapeError(f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Mat.zero(self.field, self.rows, other.cols)
-        z = self.field.zero
-        out = [[z] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = row[k]
-                if not a:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] = orow[j] + a * b
-        return Mat(self.field, out)
+        right = other._nz
+        out = []
+        for row in self._nz:
+            acc: dict = {}
+            for k, a in row.items():
+                for j, y in right[k].items():
+                    x = acc.get(j)
+                    acc[j] = a * y if x is None else x + a * y
+            out.append({j: x for j, x in acc.items() if x})
+        return Mat._of(self.field, out, other.cols)
 
     @property
     def T(self) -> "Mat":
-        if self.cols == 0 or self.rows == 0:
-            return Mat.zero(self.field, self.cols, self.rows)
-        return Mat(
-            self.field,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
-    def col(self, j: int) -> "Mat":
-        if self.rows == 0:
-            return Mat.zero(self.field, 0, 1)
-        return Mat(self.field, [[self.data[i][j]] for i in range(self.rows)])
+        out: list[dict] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._nz):
+            for j, x in r.items():
+                out[j][i] = x
+        return Mat._of(self.field, out, self.rows)
 
     def take_cols(self, idx: list[int]) -> "Mat":
-        if self.rows == 0 or not idx:
-            return Mat.zero(self.field, self.rows, len(idx))
-        return Mat(self.field, [[r[j] for j in idx] for r in self.data])
+        """The columns ``idx`` (distinct), in that order."""
+        new = {j: c for c, j in enumerate(idx)}
+        if len(new) != len(idx) or any(not 0 <= j < self.cols for j in new):
+            raise ShapeError("take_cols needs distinct column indices in range")
+        out = [{new[j]: x for j, x in r.items() if j in new} for r in self._nz]
+        return Mat._of(self.field, out, len(idx))
 
     def take_rows(self, idx: list[int]) -> "Mat":
-        if not idx or self.cols == 0:
-            return Mat.zero(self.field, len(idx), self.cols)
-        return Mat(self.field, [self.data[i][:] for i in idx])
+        return Mat._of(self.field, [self._nz[i] for i in idx], self.cols)
 
     # -- elimination ---------------------------------------------------
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form and pivot column indices.
 
-        Rows are eliminated as ``{col: value}`` dicts of their nonzeros: each
-        pivot step touches only the rows with a nonzero in the pivot column,
-        and in them only the pivot row's nonzero columns."""
-        if self.rows == 0 or self.cols == 0:
-            return Mat.zero(self.field, self.rows, self.cols), []
-        rest = [d for d in ({j: x for j, x in enumerate(r) if x} for r in self.data) if d]
+        Each pivot step touches only the rows with a nonzero in the pivot
+        column, and in them only the pivot row's nonzero columns."""
+        rest = [dict(r) for r in self._nz if r]
         done: list[dict] = []
         pivots: list[int] = []
         for col in range(self.cols):
@@ -177,11 +190,8 @@ class Mat:
                         del r[j]
             done.append(prow)
             pivots.append(col)
-        out = Mat.zero(self.field, self.rows, self.cols)
-        for orow, r in zip(out.data, done):
-            for j, x in r.items():
-                orow[j] = x
-        return out, pivots
+        done += [{} for _ in range(self.rows - len(done))]
+        return Mat._of(self.field, done, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -199,17 +209,14 @@ class Mat:
         """X with self @ X = b, or None if inconsistent (any solution)."""
         if b.rows != self.rows:
             raise ShapeError("solve shape mismatch")
-        aug = Mat(self.field, [self.data[i] + b.data[i] for i in range(self.rows)]) \
-            if self.rows else Mat.zero(self.field, 0, self.cols + b.cols)
-        R, pivots = aug.rref()
-        pivots_in_a = [p for p in pivots if p < self.cols]
-        if len(pivots_in_a) != len(pivots):
+        n = self.cols
+        R, pivots = hstack(self.field, [self, b], rows=self.rows).rref()
+        if pivots and pivots[-1] >= n:
             return None
-        out = Mat.zero(self.field, self.cols, b.cols)
-        for r, pc in enumerate(pivots_in_a):
-            for j in range(b.cols):
-                out.data[pc][j] = R.data[r][self.cols + j]
-        return out
+        out: list[dict] = [{} for _ in range(n)]
+        for r, pc in zip(R._nz, pivots):
+            out[pc] = {j - n: x for j, x in r.items() if j >= n}
+        return Mat._of(self.field, out, b.cols)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -226,20 +233,17 @@ class Mat:
 def kernel_from_rref(R: Mat, pivots: list[int]) -> Mat:
     """Null-space basis of any matrix whose RREF is (R, pivots): one column
     per free index j, with 1 at j and -R[row][j] at each pivot column."""
-    field = R.field
+    one = R.field.one
     pivot_set = set(pivots)
-    free = [j for j in range(R.cols) if j not in pivot_set]
-    out = Mat.zero(field, R.cols, len(free))
-    for c, j in enumerate(free):
-        out.data[j][c] = field.one
-        for row, pc in enumerate(pivots):
-            out.data[pc][c] = -R.data[row][j]
-    return out
+    free = {j: c for c, j in enumerate(j for j in range(R.cols) if j not in pivot_set)}
+    out: list[dict] = [{free[j]: one} if j in free else {} for j in range(R.cols)]
+    for r, pc in zip(R._nz, pivots):
+        out[pc] = {free[j]: -x for j, x in r.items() if j != pc}
+    return Mat._of(R.field, out, len(free))
 
 
 # -- block assembly ----------------------------------------------------
 def hstack(field: Field, mats: list[Mat], rows: int | None = None) -> Mat:
-    mats = [m for m in mats]
     if not mats:
         if rows is None:
             raise ShapeError("hstack of nothing needs an explicit row count")
@@ -247,14 +251,22 @@ def hstack(field: Field, mats: list[Mat], rows: int | None = None) -> Mat:
     r = mats[0].rows
     if any(m.rows != r for m in mats):
         raise ShapeError("hstack row mismatch")
-    total = sum(m.cols for m in mats)
-    if r == 0 or total == 0:
-        return Mat.zero(field, r, total)
-    return Mat(field, [sum((m.data[i] for m in mats), []) for i in range(r)])
+    offsets = []
+    total = 0
+    for m in mats:
+        offsets.append(total)
+        total += m.cols
+    out = []
+    for i in range(r):
+        row = {}
+        for m, o in zip(mats, offsets):
+            for j, x in m._nz[i].items():
+                row[o + j] = x
+        out.append(row)
+    return Mat._of(field, out, total)
 
 
 def vstack(field: Field, mats: list[Mat], cols: int | None = None) -> Mat:
-    mats = [m for m in mats]
     if not mats:
         if cols is None:
             raise ShapeError("vstack of nothing needs an explicit column count")
@@ -262,10 +274,7 @@ def vstack(field: Field, mats: list[Mat], cols: int | None = None) -> Mat:
     c = mats[0].cols
     if any(m.cols != c for m in mats):
         raise ShapeError("vstack column mismatch")
-    total = sum(m.rows for m in mats)
-    if total == 0 or c == 0:
-        return Mat.zero(field, total, c)
-    return Mat(field, [r[:] for m in mats for r in m.data])
+    return Mat._of(field, [r for m in mats for r in m._nz], c)
 
 
 def block_matrix(field: Field, grid: list[list[Mat]]) -> Mat:
@@ -274,21 +283,15 @@ def block_matrix(field: Field, grid: list[list[Mat]]) -> Mat:
 
 def block_diag(field: Field, mats: list[Mat]) -> Mat:
     """The block-diagonal matrix with ``mats`` along the diagonal, in order."""
-    out = Mat.zero(field, sum(m.rows for m in mats), sum(m.cols for m in mats))
-    ro = co = 0
+    out = []
+    co = 0
     for m in mats:
-        for i, row in enumerate(m.data):
-            out.data[ro + i][co:co + m.cols] = row
-        ro += m.rows
+        out += [{co + j: x for j, x in r.items()} for r in m._nz]
         co += m.cols
-    return out
+    return Mat._of(field, out, co)
 
 
 # -- subspaces ---------------------------------------------------------
-def independent_columns(m: Mat) -> Mat:
-    return m.image_basis()
-
-
 def subspace_package(basis: Mat):
     """For a subspace U <= k^n given by an independent-column basis, return
 
@@ -332,4 +335,4 @@ def intersect_column_spaces(u: Mat, v: Mat) -> Mat:
         return Mat.zero(field, u.rows, 0)
     k = hstack(field, [u, -v]).kernel_basis()
     top = k.take_rows(list(range(u.cols)))
-    return independent_columns(u @ top)
+    return (u @ top).image_basis()

@@ -197,57 +197,50 @@ def _degree2_pairing(qp: QP):
             a_ids = sorted(a.id for a in q.arrows if (a.tail, a.head) == (i, j))
             b_ids = sorted(a.id for a in q.arrows if (a.tail, a.head) == (j, i))
             classes[(i, j)] = (a_ids, b_ids)
-    pair_mats = {}
-    for (i, j), (a_ids, b_ids) in classes.items():
-        m = Mat.zero(fld, len(a_ids), len(b_ids))
-        pair_mats[(i, j)] = (a_ids, b_ids, m)
+    cells = {key: [[fld.zero] * len(b_ids) for _ in a_ids] for key, (a_ids, b_ids) in classes.items()}
     for p, c in qp.potential.degree2_part().terms().items():
         x, y = p.arrows
         i, j = sorted((q.tail(x), q.head(x)))
-        a_ids, b_ids, m = pair_mats[(i, j)]
+        a_ids, b_ids = classes[(i, j)]
         if q.tail(x) == i:  # x in the A class, word (x, y)
-            m.data[a_ids.index(x)][b_ids.index(y)] += c
+            cells[(i, j)][a_ids.index(x)][b_ids.index(y)] += c
         else:
-            m.data[a_ids.index(y)][b_ids.index(x)] += c
-    return pair_mats
+            cells[(i, j)][a_ids.index(y)][b_ids.index(x)] += c
+    return {key: (a_ids, b_ids, Mat(fld, cells[key])) for key, (a_ids, b_ids) in classes.items()}
 
 
 def _pivot_normal_form(c: Mat):
     """Invertible X, Y with X @ c @ Y having a single 1 at each pivot position
-    and zeros elsewhere; pivots are chosen row-major, keeping their indices."""
+    and zeros elsewhere; pivots are chosen row-major, keeping their indices.
+
+    Once row i is processed its pivot column is zero in every other row, so
+    the next pivot is the first nonzero of its row and only the rows below
+    need clearing.  Y is kept transposed, so its column operations are row
+    operations."""
     fld = c.field
     m, n = c.rows, c.cols
-    d = c.copy()
-    x = Mat.identity(fld, m)
-    y = Mat.identity(fld, n)
-    used_rows: set[int] = set()
-    used_cols: set[int] = set()
+    d = [list(r) for r in c.data]
+    x = [list(r) for r in Mat.identity(fld, m).data]
+    yt = [list(r) for r in Mat.identity(fld, n).data]
     pivots: list[tuple[int, int]] = []
     for i in range(m):
-        if i in used_rows:
-            continue
-        j = next((jj for jj in range(n) if jj not in used_cols and d.data[i][jj]), None)
+        j = next((jj for jj, v in enumerate(d[i]) if v), None)
         if j is None:
             continue
-        inv = fld.inv(d.data[i][j])
-        d.data[i] = [v * inv for v in d.data[i]]
-        x.data[i] = [v * inv for v in x.data[i]]
-        for r in range(m):
-            if r != i and d.data[r][j]:
-                f = d.data[r][j]
-                d.data[r] = [v - f * w for v, w in zip(d.data[r], d.data[i])]
-                x.data[r] = [v - f * w for v, w in zip(x.data[r], x.data[i])]
-        for cc in range(n):
-            if cc != j and d.data[i][cc]:
-                f = d.data[i][cc]
-                for r in range(m):
-                    d.data[r][cc] = d.data[r][cc] - f * d.data[r][j]
-                for r in range(n):
-                    y.data[r][cc] = y.data[r][cc] - f * y.data[r][j]
-        used_rows.add(i)
-        used_cols.add(j)
+        inv = fld.inv(d[i][j])
+        d[i] = [v * inv for v in d[i]]
+        x[i] = [v * inv for v in x[i]]
+        for r in range(i + 1, m):
+            f = d[r][j]
+            if f:
+                d[r] = [v - f * w for v, w in zip(d[r], d[i])]
+                x[r] = [v - f * w for v, w in zip(x[r], x[i])]
+        for cc in range(j + 1, n):
+            f = d[i][cc]
+            if f:
+                yt[cc] = [v - f * w for v, w in zip(yt[cc], yt[j])]
         pivots.append((i, j))
-    return x, y, d, pivots
+    return Mat(fld, x), Mat(fld, yt).T, pivots
 
 
 def _linear_normalization(qp: QP):
@@ -259,7 +252,7 @@ def _linear_normalization(qp: QP):
     pairs: list[tuple[str, str]] = []
     nontrivial_sub = False
     for (_, _), (a_ids, b_ids, c) in sorted(_degree2_pairing(qp).items()):
-        x, y, _, pivots = _pivot_normal_form(c)
+        x, y, pivots = _pivot_normal_form(c)
         pairs.extend((a_ids[i], b_ids[j]) for i, j in pivots)
         if x != Mat.identity(fld, len(a_ids)) or y != Mat.identity(fld, len(b_ids)):
             nontrivial_sub = True
@@ -267,14 +260,14 @@ def _linear_normalization(qp: QP):
             for idx, aid in enumerate(a_ids):
                 img = space.zero()
                 for idx2, aid2 in enumerate(a_ids):
-                    if x.data[idx2][idx]:
-                        img = img + space.arrow(aid2).scale(x.data[idx2][idx])
+                    if x.entry(idx2, idx):
+                        img = img + space.arrow(aid2).scale(x.entry(idx2, idx))
                 images[aid] = img
             for jdx, bid in enumerate(b_ids):
                 img = space.zero()
                 for jdx2, bid2 in enumerate(b_ids):
-                    if y.data[jdx][jdx2]:
-                        img = img + space.arrow(bid2).scale(y.data[jdx][jdx2])
+                    if y.entry(jdx, jdx2):
+                        img = img + space.arrow(bid2).scale(y.entry(jdx, jdx2))
                 images[bid] = img
     sub = substitution_from_images(space, images) if nontrivial_sub else identity_substitution(space)
     return sub, pairs

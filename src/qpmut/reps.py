@@ -17,7 +17,6 @@ from .linalg import (
     Mat,
     coords_in,
     hstack,
-    independent_columns,
     intersect_column_spaces,
     kernel_from_rref,
     subspace_package,
@@ -81,7 +80,7 @@ class DecRep:
                 if src.cols:
                     new[a.head].append(self.maps[a.id] @ src)
             spans = {
-                v: independent_columns(hstack(fld, ms, rows=self.dims[v]))
+                v: hstack(fld, ms, rows=self.dims[v]).image_basis()
                 if ms
                 else Mat.zero(fld, self.dims[v], 0)
                 for v, ms in new.items()

@@ -203,7 +203,7 @@ def invert_substitution(phi: ArrowSubstitution) -> ArrowSubstitution:
         for j, aid in enumerate(ids):
             img = space.zero()
             for i, bid in enumerate(ids):
-                img = img + space.arrow(bid).scale(inv.data[i][j])
+                img = img + space.arrow(bid).scale(inv.entry(i, j))
             lin_inv_images[aid] = img
     lin_inv = substitution_from_images(space, lin_inv_images)
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -453,3 +454,18 @@ def test_loads_raises_only_engine_errors(text):
         docio.loads(text)
     except QpmutError:
         pass
+
+
+def test_load_cost_does_not_grow_with_declared_dims_squared():
+    """A document that declares large dimensions and no matrices loads in
+    time that grows with the dimensions, not with the cells of its zero maps."""
+    with open(fixture("markov_rep.json")) as f:
+        doc = json.load(f)
+    doc["payload"]["dims"] = {"1": 1000, "2": 1000, "3": 1000}
+    del doc["payload"]["matrices"]
+    text = json.dumps(doc)
+    t0 = time.perf_counter()
+    rep = docio.loads(text)
+    assert time.perf_counter() - t0 < 0.5
+    assert rep.dims == {1: 1000, 2: 1000, 3: 1000}
+    assert all(m.is_zero() and (m.rows, m.cols) == (1000, 1000) for m in rep.maps.values())

@@ -1,8 +1,10 @@
 """Exact matrix kernels, images, quotients; cross-checked against sympy and
 a plain Gauss-Jordan reference over F_p."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -11,9 +13,9 @@ from qpmut import QQ, ShapeError
 from qpmut.fields import PrimeField
 from qpmut.linalg import (
     Mat,
+    block_diag,
     coords_in,
     hstack,
-    independent_columns,
     intersect_column_spaces,
     subspace_package,
     vstack,
@@ -155,7 +157,7 @@ def test_subspace_package_properties():
     for _ in range(30):
         n = rng.randint(0, 6)
         m = _rand(rng, n, rng.randint(0, 6))
-        basis = independent_columns(m)
+        basis = m.image_basis()
         retraction, proj, sec = subspace_package(basis)
         r = basis.cols
         if r:
@@ -196,8 +198,8 @@ def test_intersection_against_rank_formula():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 6)
-        u = independent_columns(_rand(rng, n, rng.randint(0, 4)))
-        v = independent_columns(_rand(rng, n, rng.randint(0, 4)))
+        u = _rand(rng, n, rng.randint(0, 4)).image_basis()
+        v = _rand(rng, n, rng.randint(0, 4)).image_basis()
         cap = intersect_column_spaces(u, v)
         # independent oracle: dim(U & V) = rank U + rank V - rank [U V]
         expected = u.cols + v.cols - hstack(QQ, [u, v], rows=n).rank()
@@ -223,3 +225,154 @@ def test_stacking_degenerate_shapes():
     v = vstack(QQ, [Mat.zero(QQ, 2, 0), Mat.zero(QQ, 1, 0)])
     assert (v.rows, v.cols) == (3, 0)
     assert (Mat.zero(QQ, 0, 4) @ Mat.zero(QQ, 4, 2)).cols == 2
+
+
+# -- the sparse representation -------------------------------------------
+def _ints(rng, rows, cols, density=0.4):
+    """Nested small ints, mostly zero, with entries of both signs so that
+    sums and products cancel."""
+    return [[rng.choice([-2, -1, 1, 2]) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _dense(field, ints):
+    return [[field.of(x) for x in r] for r in ints]
+
+
+def _ref_mul(field, a, b, inner):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), field.zero) for j in range(len(b[0]) if b else 0)]
+            for i in range(len(a))]
+
+
+def _check(m, ref, shape):
+    """``m`` has ``shape``, its dense view is ``ref``, and it stores no zero:
+    rebuilding it from its dense view gives the same matrix."""
+    assert (m.rows, m.cols) == shape
+    assert m.data == tuple(tuple(r) for r in ref)
+    if m.rows:
+        assert m == Mat(m.field, m.data)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_every_operation_stores_only_nonzeros_and_matches_dense(field):
+    rng = random.Random(11)
+    for _ in range(40):
+        r, k, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        ai, bi, ci = _ints(rng, r, k), _ints(rng, r, k), _ints(rng, k, c)
+        a, b, cm = (Mat.from_int_rows(field, x) for x in (ai, bi, ci))
+        ad, bd, cd = (_dense(field, x) for x in (ai, bi, ci))
+        _check(a, ad, (r, k))
+        _check(a + b, [[x + y for x, y in zip(u, v)] for u, v in zip(ad, bd)], (r, k))
+        _check(a - b, [[x - y for x, y in zip(u, v)] for u, v in zip(ad, bd)], (r, k))
+        _check(a + (-a), [[field.zero] * k for _ in range(r)], (r, k))
+        _check(-a, [[-x for x in u] for u in ad], (r, k))
+        _check(a.scale(field.zero), [[field.zero] * k for _ in range(r)], (r, k))
+        s = field.of(rng.choice([-3, 2, 5]))
+        _check(a.scale(s), [[s * x for x in u] for u in ad], (r, k))
+        _check(a @ cm, _ref_mul(field, ad, cd, k), (r, c))
+        ker = a.kernel_basis()
+        _check(a @ ker, [[field.zero] * ker.cols for _ in range(r)], (r, ker.cols))
+        _check(a.T, [list(col) for col in zip(*ad)], (k, r))
+        rows_idx = rng.sample(range(r), rng.randint(0, r))
+        cols_idx = rng.sample(range(k), rng.randint(0, k))
+        _check(a.take_rows(rows_idx), [ad[i] for i in rows_idx], (len(rows_idx), k))
+        _check(a.take_cols(cols_idx), [[u[j] for j in cols_idx] for u in ad], (r, len(cols_idx)))
+        _check(hstack(field, [a, b]), [u + v for u, v in zip(ad, bd)], (r, 2 * k))
+        _check(vstack(field, [a, b]), ad + bd, (2 * r, k))
+        _check(block_diag(field, [a, cm]),
+               [u + [field.zero] * c for u in ad] + [[field.zero] * k + v for v in cd], (r + k, k + c))
+        R, pivots = a.rref()
+        _check(R, [list(u) for u in R.data], (r, k))
+        x = a.solve(a @ cm)
+        _check(x, [list(u) for u in x.data], (k, c))
+        assert a @ x == a @ cm
+        _check(ker, [list(u) for u in ker.data], (k, k - len(pivots)))
+        for i in range(r):
+            for j in range(k):
+                assert a.entry(i, j) == ad[i][j]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+@pytest.mark.parametrize("n", [0, 3])
+def test_empty_shapes_survive_every_operation(field, n):
+    rng = random.Random(n)
+    full = Mat.from_int_rows(field, _ints(rng, 3, 3, density=0.7)) if n else Mat.zero(field, 0, 0)
+    for a in (Mat.zero(field, 0, n), Mat.zero(field, n, 0)):
+        r, c = a.rows, a.cols
+        assert a.data == tuple(() for _ in range(r))
+        for m in (a + a, a - a, -a, a.scale(field.of(2)), a.scale(field.zero), a.rref()[0]):
+            assert (m.rows, m.cols) == (r, c) and m.is_zero()
+        assert (a.T.rows, a.T.cols) == (c, r)
+        assert (a @ Mat.zero(field, c, 4)).rows == r and (a @ Mat.zero(field, c, 4)).cols == 4
+        assert (Mat.zero(field, 4, r) @ a).rows == 4 and (Mat.zero(field, 4, r) @ a).cols == c
+        assert (a.take_rows([]).rows, a.take_rows([]).cols) == (0, c)
+        assert (a.take_cols([]).rows, a.take_cols([]).cols) == (r, 0)
+        assert a.rref()[1] == []
+        k = a.kernel_basis()
+        assert (k.rows, k.cols) == (c, c)
+        x = a.solve(Mat.zero(field, r, 2))
+        assert (x.rows, x.cols) == (c, 2)
+        h = hstack(field, [a, a], rows=r)
+        assert (h.rows, h.cols) == (r, 2 * c)
+        v = vstack(field, [a, a], cols=c)
+        assert (v.rows, v.cols) == (2 * r, c)
+        d = block_diag(field, [a, full, a])
+        assert (d.rows, d.cols) == (2 * r + full.rows, 2 * c + full.cols)
+        inner = d.take_rows(list(range(r, r + full.rows))).take_cols(list(range(c, c + full.cols)))
+        assert inner == full
+        assert sum(map(bool, sum(d.data, ()))) == sum(map(bool, sum(full.data, ())))
+        assert a == Mat.zero(field, r, c) and a != Mat.zero(field, r + 1, c)
+
+
+def test_dense_view_is_read_only():
+    m = Mat.from_int_rows(QQ, [[1, 0], [0, 2]])
+    with pytest.raises(TypeError):
+        m.data[0][0] = 5
+    with pytest.raises(TypeError):
+        m.data[1] = (0, 0)
+    with pytest.raises(AttributeError):
+        m.data = ((0, 0), (0, 0))
+    assert m == Mat.from_int_rows(QQ, [[1, 0], [0, 2]])
+
+
+def test_from_rows_drops_zeros_and_checks_columns():
+    m = Mat.from_rows(QQ, [{0: 1, 2: 0}, {}, {1: Fraction(1, 2)}], 3)
+    assert m == Mat(QQ, [[1, 0, 0], [0, 0, 0], [0, Fraction(1, 2), 0]])
+    assert (Mat.from_rows(QQ, [], 4).rows, Mat.from_rows(QQ, [], 4).cols) == (0, 4)
+    with pytest.raises(ShapeError):
+        Mat.from_rows(QQ, [{3: 1}], 3)
+
+
+# -- the storage boundary ----------------------------------------------------
+SRC = Path(__file__).resolve().parent.parent / "src" / "qpmut"
+
+
+def _storage_violations(path: Path) -> list[str]:
+    """Lines of ``path`` that touch Mat's private storage (outside linalg.py)
+    or assign into a ``.data`` attribute."""
+    private = {s for s in Mat.__slots__ if s.startswith("_")}
+    out = []
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in private and path.name != "linalg.py":
+            out.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            for t in targets:
+                while isinstance(t, ast.Subscript):
+                    t = t.value
+                if isinstance(t, ast.Attribute) and t.attr == "data":
+                    out.append(f"{path.name}:{node.lineno} writes .data")
+    return out
+
+
+def test_only_linalg_touches_matrix_storage():
+    paths = sorted(SRC.glob("*.py"))
+    assert any(p.name == "linalg.py" for p in paths)
+    assert [v for p in paths for v in _storage_violations(p)] == []
+
+
+def test_storage_boundary_check_sees_violations(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("m.data[0][1] = x\nm.data = y\nz = m._nz\nm.data[2][0] += 1\n")
+    assert len(_storage_violations(bad)) == 4

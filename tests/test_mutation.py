@@ -1,11 +1,14 @@
 """Mutation of decorated representations: the four constructions, the
 composition identity, annihilation, pullbacks, and round trips."""
 
+import hashlib
+import os
 import random
 
 import pytest
 
 from conftest import a2_qp, markov_qp, MARKOV_K
+from qpmut import docio
 from qpmut import (
     CONSTRUCTIONS,
     QP,
@@ -303,3 +306,30 @@ def test_mutation_checks_the_qp_before_the_module():
             mutate(short, MARKOV_K)
         with pytest.raises(MutationNotDefined):
             mutate(two_cycle, 1)
+
+
+# sha256 of docio.dumps(docio.emit_decrep(step)) for each step of the walk
+# 3,1,2,3,1,2,3,1,2 from fixtures/markov_rep.json, with the dimension vector
+DEEP_WALK = [3, 1, 2, 3, 1, 2, 3, 1, 2]
+DEEP_WALK_STEPS = [
+    ({1: 0, 2: 2, 3: 5}, "0872d4c70719125b925754bcb8346e617c9fa05ca144a8c4d548d00a769298be"),
+    ({1: 11, 2: 2, 3: 5}, "59667263e4d74d5f5bb93145da560dcdfe189b8a8c99a8825ef5b3f349fdf0ef"),
+    ({1: 11, 2: 21, 3: 5}, "a9203b4aea34fca770058f771f1a0e9319c071b8d02aa67464b8f07cb4de8046"),
+    ({1: 11, 2: 21, 3: 37}, "b5bba50e091dd0db2ada6f2ca8737431c3d937fd14a3f7bf44efe0140358e520"),
+    ({1: 63, 2: 21, 3: 37}, "7c98712ad08cb21c7d904f350bbe799200f1e472f40725cf35c6445926169dda"),
+    ({1: 63, 2: 105, 3: 37}, "5765d9bfcba6d9e944aeebb61d9ec7ff4f3a21e8f4962a73204db3cc0ccf56f8"),
+    ({1: 63, 2: 105, 3: 173}, "69aa65152d80c112c1e5e8ca72571c4b783816482daec3a6f2040c42044729c0"),
+    ({1: 283, 2: 105, 3: 173}, "2b9ce91b25c82712500a421825bc837b77cd56edd2b81605270d62438134b293"),
+    ({1: 283, 2: 461, 3: 173}, "81808ea2424de936a902546a9663edaf9050337f812bccae2dbe9068018874d9"),
+]
+
+
+def test_deep_markov_walk_golden():
+    """Pins every emitted module of the depth-9 walk, where the maps reach
+    {283,461,173} and are well under 1% nonzero."""
+    rep = docio.load_path(os.path.join(os.path.dirname(__file__), "..", "fixtures", "markov_rep.json"))
+    for k, (dims, digest) in zip(DEEP_WALK, DEEP_WALK_STEPS):
+        rep = mutate_rep(rep, k)
+        assert rep.dims == dims
+        text = docio.dumps(docio.emit_decrep(rep))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -26,8 +26,11 @@ from qpmut import (
     same_up_to_vertex_fixing_iso,
     split_reduce,
 )
+from qpmut.fields import GF
 from qpmut.generate import _random_cycles, random_qp
+from qpmut.linalg import Mat
 from qpmut.mutation import double_premutation_equiv, double_premutation_potential_identity
+from qpmut.qp import _pivot_normal_form
 
 
 def test_premutate_markov_quiver():
@@ -471,3 +474,58 @@ def test_mutation_sequences_are_stable_under_raising_the_truncation_order():
             beyond_n += any(p.length > n for p in high.potential.terms())
     # the comparison is not vacuous: many steps, some with terms past N
     assert compared > 300 and beyond_n > 0
+
+
+def _pivot_normal_form_reference(c):
+    """The earlier routine, kept as a reference: it clears each pivot column
+    in every row, applies the column operations to Y directly, and tracks the
+    used rows and columns."""
+    fld = c.field
+    m, n = c.rows, c.cols
+    d = [list(r) for r in c.data]
+    x = [[fld.one if i == j else fld.zero for j in range(m)] for i in range(m)]
+    y = [[fld.one if i == j else fld.zero for j in range(n)] for i in range(n)]
+    used_rows, used_cols = set(), set()
+    pivots = []
+    for i in range(m):
+        if i in used_rows:
+            continue
+        j = next((jj for jj in range(n) if jj not in used_cols and d[i][jj]), None)
+        if j is None:
+            continue
+        inv = fld.inv(d[i][j])
+        d[i] = [v * inv for v in d[i]]
+        x[i] = [v * inv for v in x[i]]
+        for r in range(m):
+            if r != i and d[r][j]:
+                f = d[r][j]
+                d[r] = [v - f * w for v, w in zip(d[r], d[i])]
+                x[r] = [v - f * w for v, w in zip(x[r], x[i])]
+        for cc in range(n):
+            if cc != j and d[i][cc]:
+                f = d[i][cc]
+                for r in range(m):
+                    d[r][cc] = d[r][cc] - f * d[r][j]
+                for r in range(n):
+                    y[r][cc] = y[r][cc] - f * y[r][j]
+        used_rows.add(i)
+        used_cols.add(j)
+        pivots.append((i, j))
+    return x, y, pivots
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_pivot_normal_form_matches_reference(field):
+    rng = random.Random(404)
+    for _ in range(2000):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.choice([0.3, 0.6, 1.0])
+        c = Mat.from_int_rows(field, [[rng.randint(-3, 3) if rng.random() < density else 0
+                                       for _ in range(n)] for _ in range(m)])
+        x, y, pivots = _pivot_normal_form(c)
+        rx, ry, rpivots = _pivot_normal_form_reference(c)
+        assert pivots == rpivots
+        assert [[str(v) for v in r] for r in x.data] == [[str(v) for v in r] for r in rx]
+        assert [[str(v) for v in r] for r in y.data] == [[str(v) for v in r] for r in ry]
+        normal = [[field.one if (i, j) in pivots else field.zero for j in range(n)] for i in range(m)]
+        assert x @ c @ y == Mat(field, normal)
