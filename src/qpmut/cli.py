@@ -64,9 +64,12 @@ def _out(args, text: str) -> None:
 
 def _parse_seq(raw: str) -> list[int]:
     try:
-        return [int(x) for x in raw.split(",") if x.strip() != ""]
+        seq = [int(x) for x in raw.split(",") if x.strip() != ""]
     except ValueError as e:
         raise QpmutError(f"bad mutation sequence {raw!r}: {e}") from None
+    if not seq:
+        raise QpmutError(f"mutation sequence {raw!r} names no vertex")
+    return seq
 
 
 def _load(path: str, want: str):
@@ -96,11 +99,9 @@ def cmd_mutate_quiver(args) -> int:
 
 
 def _seq_from_args(args) -> list[int]:
-    if getattr(args, "at", None) is not None:
-        return [args.at]
-    if getattr(args, "seq", None):
-        return _parse_seq(args.seq)
-    raise QpmutError("need --seq k1,k2,... or --at k")
+    """The vertices to mutate at: argparse lets exactly one of --at and
+    --seq through."""
+    return [args.at] if args.at is not None else _parse_seq(args.seq)
 
 
 def cmd_mutate_qp(args) -> int:
@@ -243,6 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", required=True, help="input document")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
+    def vertices(p):
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--seq", default=None, help="comma-separated vertices")
+        g.add_argument("--at", type=int, default=None, help="single vertex")
+
     p = sub.add_parser("mutate-quiver", help="mutate a quiver at one vertex")
     common(p)
     p.add_argument("--field", default="q", help="q or fp:<p>")
@@ -254,14 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mutate-qp", help="mutate a QP along a vertex sequence")
     common(p)
     p.add_argument("--trunc", type=_positive, default=None)
-    p.add_argument("--seq", default=None, help="comma-separated vertices")
-    p.add_argument("--at", type=int, default=None, help="single vertex")
+    vertices(p)
     p.set_defaults(func=cmd_mutate_qp)
 
     p = sub.add_parser("mutate-rep", help="mutate a decorated representation")
     common(p)
-    p.add_argument("--seq", default=None)
-    p.add_argument("--at", type=int, default=None)
+    vertices(p)
     p.add_argument(
         "--construction",
         choices=sorted(_CONSTRUCTION_NAMES),

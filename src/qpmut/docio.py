@@ -1,9 +1,16 @@
 """JSON document format: quivers, QPs and decorated representations.
 
 One self-describing format with top-level ``kind``, format ``version``,
-``field`` tag ("Q" or "Fp:<p>") and ``trunc``; rationals travel as canonical
-lowest-terms strings, matrices row-major.  parse(emit(x)) == x bit-exactly,
+``field`` tag ("Q" or "Fp:<p>") and ``trunc``; matrices are row-major.  Every
+scalar is a JSON string, a rational in canonical lowest terms; any other JSON
+value in a scalar slot is a ``SchemaError``.  parse(emit(x)) == x bit-exactly,
 and every parsed object is re-validated.
+
+Conversion costs a document's distinct scalars, not its cells: ``parse``
+keeps one dict per document from each scalar string to its value, so each
+distinct string goes through ``Field.parse`` once, and ``emit_decrep`` keeps
+one dict from each value to its string, so each distinct value goes through
+``Field.to_str`` once and every equal cell shares one ``str``.
 """
 
 from __future__ import annotations
@@ -35,11 +42,27 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _scalar(field: Field, raw: Any, where: str):
-    try:
-        return field.parse(str(raw))
-    except (ValueError, ZeroDivisionError) as e:
-        raise SchemaError(f"{where}: bad {field.name} scalar {raw!r}: {e}") from e
+def _scalar(field: Field, raw: Any, where: str, values: dict):
+    """The value of the scalar string ``raw``, parsed once per document:
+    ``values`` maps each string parsed so far to its value."""
+    if not isinstance(raw, str):
+        raise SchemaError(f"{where}: a {field.name} scalar is a string, not {raw!r}")
+    x = values.get(raw)
+    if x is None:
+        try:
+            x = values[raw] = field.parse(raw)
+        except (ValueError, ZeroDivisionError) as e:
+            raise SchemaError(f"{where}: bad {field.name} scalar {raw!r}: {e}") from e
+    return x
+
+
+def _to_str(field: Field, x, strs: dict) -> str:
+    """The string of ``x``, made once per document: ``strs`` maps each value
+    emitted so far to its string."""
+    s = strs.get(x)
+    if s is None:
+        s = strs[x] = field.to_str(x)
+    return s
 
 
 def _field_tag(field: Field) -> str:
@@ -55,11 +78,11 @@ def emit_quiver_payload(q: Quiver) -> dict:
     }
 
 
-def _emit_potential(pot: Potential) -> list[dict]:
+def _emit_potential(pot: Potential, strs: dict) -> list[dict]:
     fld = pot.space.field
     out = []
     for p, c in sorted(pot.terms().items(), key=lambda t: (t[0].length, t[0].arrows)):
-        out.append({"cycle": list(p.arrows), "coeff": fld.to_str(c)})
+        out.append({"cycle": list(p.arrows), "coeff": _to_str(fld, c, strs)})
     return out
 
 
@@ -73,9 +96,14 @@ def emit_quiver(q: Quiver, field: Field, trunc: int) -> dict:
     }
 
 
-def emit_qp(qp: QP) -> dict:
+def _emit_qp_payload(qp: QP, strs: dict) -> dict:
     payload = emit_quiver_payload(qp.quiver)
-    payload["potential"] = _emit_potential(qp.potential)
+    payload["potential"] = _emit_potential(qp.potential, strs)
+    return payload
+
+
+def emit_qp(qp: QP) -> dict:
+    payload = _emit_qp_payload(qp, {})
     return {
         "kind": "qp",
         "version": FORMAT_VERSION,
@@ -85,17 +113,20 @@ def emit_qp(qp: QP) -> dict:
     }
 
 
-def _emit_matrix(m: Mat, field: Field) -> list[list[str]]:
-    return [[field.to_str(x) for x in row] for row in m.data]
+def _emit_matrix(m: Mat, field: Field, strs: dict) -> list[list[str]]:
+    get = strs.get  # no scalar prints as "", so a miss is the only falsy result
+    return [[get(x) or _to_str(field, x, strs) for x in row] for row in m.data]
 
 
 def emit_decrep(rep: DecRep) -> dict:
     fld = rep.field
+    strs: dict = {}
     payload = {
-        "qp": emit_qp(rep.qp)["payload"],
+        "qp": _emit_qp_payload(rep.qp, strs),
         "dims": {str(v): rep.dims[v] for v in rep.qp.quiver.vertices},
         "decDims": {str(v): rep.dec_dims[v] for v in rep.qp.quiver.vertices},
-        "matrices": {a.id: _emit_matrix(rep.maps[a.id], fld) for a in rep.qp.quiver.arrows},
+        "matrices": {a.id: _emit_matrix(rep.maps[a.id], fld, strs)
+                     for a in rep.qp.quiver.arrows},
     }
     return {
         "kind": "decrep",
@@ -167,7 +198,7 @@ def _parse_quiver_payload(payload: Any) -> Quiver:
     return Quiver(tuple(verts), tuple(arrows))
 
 
-def _parse_potential(payload: Any, space: JetSpace) -> Potential:
+def _parse_potential(payload: Any, space: JetSpace, values: dict) -> Potential:
     terms = payload.get("potential", [])
     _require(isinstance(terms, list), "payload.potential must be a list")
     jet = space.zero()
@@ -180,7 +211,7 @@ def _parse_potential(payload: Any, space: JetSpace) -> Potential:
         )
         _require(len(t["cycle"]) <= space.order,
                  f"payload.potential[{i}] is longer than the truncation order")
-        coeff = _scalar(space.field, t.get("coeff", "1"), f"payload.potential[{i}]")
+        coeff = _scalar(space.field, t.get("coeff", "1"), f"payload.potential[{i}]", values)
         jet = jet + space.path(tuple(t["cycle"])).scale(coeff)
     return cyclic_normalize(jet)
 
@@ -196,23 +227,46 @@ def _parse_dims(payload: dict, key: str, q: Quiver) -> dict[int, int]:
     return {vertex[k]: v for k, v in raw.items()}
 
 
+def _parse_matrix(rows: Any, aid: str, shape: tuple[int, int], field: Field,
+                  values: dict) -> Mat:
+    want_r, want_c = shape
+    where = f"matrix for {aid!r}"
+    _require(isinstance(rows, list), f"{where} must be a list of rows")
+    _require(len(rows) == want_r, f"{where} has wrong row count")
+    get = values.get
+    nz = []
+    for row in rows:
+        _require(isinstance(row, list) and len(row) == want_c, f"{where} has a wrong-length row")
+        r = {}
+        for j, raw in enumerate(row):
+            # only a string may be looked up: True, 1 and 1.0 are one dict key
+            x = get(raw) if type(raw) is str else None
+            if x is None:
+                x = _scalar(field, raw, where, values)
+            if x:
+                r[j] = x
+        nz.append(r)
+    return Mat.from_rows(field, nz, want_c)
+
+
 def parse(doc: dict):
     """Parse a document into a Quiver, QP or DecRep, re-validating all
     structural invariants."""
     kind, field, trunc = _parse_header(doc)
     payload = doc["payload"]
+    values: dict = {}
     if kind == "quiver":
         return _parse_quiver_payload(payload)
     if kind == "qp":
         q = _parse_quiver_payload(payload)
         space = JetSpace(q, trunc, field)
-        return QP(q, _parse_potential(payload, space))
+        return QP(q, _parse_potential(payload, space, values))
     # decrep
     _require(isinstance(payload, dict) and isinstance(payload.get("qp"), dict),
              "decrep payload needs a qp object")
     q = _parse_quiver_payload(payload["qp"])
     space = JetSpace(q, trunc, field)
-    qp = QP(q, _parse_potential(payload["qp"], space))
+    qp = QP(q, _parse_potential(payload["qp"], space, values))
     dims = _parse_dims(payload, "dims", q)
     dec = _parse_dims(payload, "decDims", q)
     mats_raw = payload.get("matrices", {})
@@ -220,16 +274,9 @@ def parse(doc: dict):
     maps = {}
     for aid, rows in mats_raw.items():
         _require(q.has_arrow(aid), f"matrix for unknown arrow {aid!r}")
-        _require(isinstance(rows, list), f"matrix for {aid!r} must be a list of rows")
         a = q.arrow(aid)
-        want_r, want_c = dims.get(a.head, 0), dims.get(a.tail, 0)
-        _require(len(rows) == want_r, f"matrix for {aid!r} has wrong row count")
-        data = []
-        for row in rows:
-            _require(isinstance(row, list) and len(row) == want_c,
-                     f"matrix for {aid!r} has a wrong-length row")
-            data.append([_scalar(field, x, f"matrix for {aid!r}") for x in row])
-        maps[aid] = Mat(field, data) if want_r and want_c else Mat.zero(field, want_r, want_c)
+        shape = (dims.get(a.head, 0), dims.get(a.tail, 0))
+        maps[aid] = _parse_matrix(rows, aid, shape, field, values)
     rep = DecRep(qp, dims, maps, dec)
     rpt = check_module(rep)
     if not rpt.ok:

@@ -16,6 +16,7 @@ from qpmut import DecRep, InvariantError, QQ, QpmutError, SchemaError, GF
 from qpmut import docio
 from qpmut.cli import main
 from qpmut.generate import random_valid_module
+from qpmut.mutation import mutate_rep
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -263,7 +264,11 @@ def _doc_with_scalar(field, raw, where):
 
 
 @pytest.mark.parametrize("where", ["coeff", "matrix"])
-@pytest.mark.parametrize("field,raw", [("Q", "1/0"), ("Q", "abc"), ("Fp:7", "1/2")])
+@pytest.mark.parametrize("field,raw", [("Q", "1/0"), ("Q", "abc"), ("Fp:7", "1/2")] + [
+    # scalars travel as strings: a JSON number, bool or null is refused, not rounded
+    (field, raw) for field in ("Q", "Fp:7")
+    for raw in (12345678901234567890.5, 0.1, 2, True, None)
+])
 def test_malformed_scalar_is_schema_error(tmp_path, field, raw, where):
     doc = _doc_with_scalar(field, raw, where)
     docio.parse(_doc_with_scalar(field, "1", where))  # a good scalar parses
@@ -314,6 +319,16 @@ def test_cli_rejects_flags_a_subcommand_does_not_read():
     assert main(["mutate-rep", "--in", rep, "--seq", "3", "--field", "fp:7"]) == 2
     assert main(["dualize", "--in", rep, "--seed", "1"]) == 2
     assert main(["mutate-qp", "--in", fixture("markov.json"), "--at", "3", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("command,infile", [("mutate-qp", "markov.json"),
+                                            ("mutate-rep", "markov_rep.json")])
+def test_cli_mutation_vertices_are_never_ignored(capsys, command, infile):
+    path = fixture(infile)
+    assert main([command, "--in", path, "--at", "3", "--seq", "3,1,2"]) == 2
+    assert main([command, "--in", path, "--seq", ","]) == 2
+    assert main([command, "--in", path]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_rejects_negative_counts():
@@ -469,3 +484,29 @@ def test_load_cost_does_not_grow_with_declared_dims_squared():
     assert time.perf_counter() - t0 < 0.5
     assert rep.dims == {1: 1000, 2: 1000, 3: 1000}
     assert all(m.is_zero() and (m.rows, m.cols) == (1000, 1000) for m in rep.maps.values())
+
+
+def test_scalar_conversion_costs_distinct_values_not_cells(monkeypatch):
+    """Loading parses each distinct scalar string once per document, and
+    emitting prints each distinct value once; the memo keeps a bad string
+    in a later cell failing where it stands."""
+    rep = docio.load_path(fixture("markov_rep.json"))
+    for k in (3, 1, 2, 3, 1, 2):
+        rep = mutate_rep(rep, k)
+    field = type(rep.field)
+    to_str, parse = field.to_str, field.parse
+    emitted, parsed = [], []
+    monkeypatch.setattr(field, "to_str", lambda self, x: emitted.append(x) or to_str(self, x))
+    monkeypatch.setattr(field, "parse", lambda self, s: parsed.append(s) or parse(self, s))
+    doc = docio.emit_decrep(rep)
+    text = docio.dumps(doc)
+    cells = [s for rows in doc["payload"]["matrices"].values() for row in rows for s in row]
+    assert len(cells) > 25000 and len(set(cells)) <= 4
+    assert len(emitted) == len(set(emitted))
+    assert docio.dumps(docio.emit_decrep(docio.loads(text))) == text
+    assert len(parsed) == len(set(parsed)) == len(set(cells))
+
+    second = [a for a, rows in doc["payload"]["matrices"].items() if rows][1]
+    doc["payload"]["matrices"][second][-1][-1] = "1/0"
+    with pytest.raises(SchemaError, match=re.escape(f"matrix for {second!r}")):
+        docio.parse(doc)

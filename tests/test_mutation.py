@@ -326,10 +326,11 @@ DEEP_WALK_STEPS = [
 
 def test_deep_markov_walk_golden():
     """Pins every emitted module of the depth-9 walk, where the maps reach
-    {283,461,173} and are well under 1% nonzero."""
+    {283,461,173} and are well under 1% nonzero, and loads each back."""
     rep = docio.load_path(os.path.join(os.path.dirname(__file__), "..", "fixtures", "markov_rep.json"))
     for k, (dims, digest) in zip(DEEP_WALK, DEEP_WALK_STEPS):
         rep = mutate_rep(rep, k)
         assert rep.dims == dims
         text = docio.dumps(docio.emit_decrep(rep))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert docio.dumps(docio.emit_decrep(docio.loads(text))) == text
