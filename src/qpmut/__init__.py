@@ -32,7 +32,6 @@ from .linalg import (
     block_matrix,
     coords_in,
     hstack,
-    intersect_column_spaces,
     subspace_package,
     vstack,
 )
@@ -60,7 +59,6 @@ from .qp import (
     premutate_quiver,
     probe_nondegeneracy,
     split_reduce,
-    zero_qp,
 )
 from .quiver import (
     Arrow,

@@ -107,6 +107,12 @@ def _seq_from_args(args) -> list[int]:
 def cmd_mutate_qp(args) -> int:
     qp = _load(args.infile, "qp")
     if args.trunc is not None and args.trunc != qp.order:
+        longest = max((p.length for p in qp.potential.jet.terms), default=0)
+        if longest > args.trunc:
+            raise QpmutError(
+                f"potential has a term of length {longest}, longer than "
+                f"the truncation order {args.trunc}"
+            )
         space = JetSpace(qp.quiver, args.trunc, qp.field)
         qp = QP(qp.quiver, cyclic_normalize(space.from_terms(dict(qp.potential.jet.terms))))
     steps = []

@@ -3,7 +3,8 @@
 One self-describing format with top-level ``kind``, format ``version``,
 ``field`` tag ("Q" or "Fp:<p>") and ``trunc``; matrices are row-major.  Every
 scalar is a JSON string, a rational in canonical lowest terms; any other JSON
-value in a scalar slot is a ``SchemaError``.  parse(emit(x)) == x bit-exactly,
+value in a scalar slot is a ``SchemaError``.  parse(emit_qp(x)) == x and
+parse(emit_decrep(x)) == x bit-exactly,
 and every parsed object is re-validated.
 
 Conversion costs a document's distinct scalars, not its cells: ``parse``
@@ -147,16 +148,6 @@ def emit_substitution(phi: ArrowSubstitution) -> dict:
             for p, c in jet.sorted_terms()
         ]
     return {"images": images}
-
-
-def emit(obj) -> dict:
-    if isinstance(obj, Quiver):
-        raise SchemaError("emit a quiver via emit_quiver(q, field, trunc)")
-    if isinstance(obj, QP):
-        return emit_qp(obj)
-    if isinstance(obj, DecRep):
-        return emit_decrep(obj)
-    raise SchemaError(f"cannot emit object of type {type(obj).__name__}")
 
 
 def dumps(doc: dict) -> str:

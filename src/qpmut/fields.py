@@ -54,7 +54,8 @@ class FpElem:
         return isinstance(other, FpElem) and other.p == self.p and other.v == self.v
 
     def __hash__(self):
-        return hash((self.v, self.p))
+        # equal elements share p, so v alone keeps the ==/hash contract
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0

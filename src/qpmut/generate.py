@@ -246,10 +246,9 @@ def random_valid_module(
     rng: random.Random,
     max_dim: int = 4,
     max_power: int = 3,
-    decorations: bool = True,
 ) -> DecRep:
     """A random nilpotent module annihilated by the derivative ideal, with
-    per-vertex dimensions capped at max_dim."""
+    per-vertex dimensions capped at max_dim and random decorations."""
     for _ in range(60):
         pieces = []
         for _ in range(rng.randint(1, 2)):
@@ -264,14 +263,7 @@ def random_valid_module(
         if not all(d <= max_dim for d in m.dims.values()):
             continue
         m, _ = base_change(m, rng)
-        if decorations:
-            m = DecRep(
-                m.qp,
-                m.dims,
-                m.maps,
-                {v: rng.randint(0, 2) for v in qp.quiver.vertices},
-            )
-        return m
+        return DecRep(m.qp, m.dims, m.maps, {v: rng.randint(0, 2) for v in qp.quiver.vertices})
     raise RuntimeError("failed to generate a module")
 
 

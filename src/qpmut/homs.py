@@ -19,6 +19,9 @@ YES = "YES"
 NO = "NO"
 UNDECIDED = "UNDECIDED"
 
+# seeded random combinations of the Hom basis tried after the basis itself
+ISO_TRIES = 64
+
 
 @dataclass
 class HomSpace:
@@ -85,11 +88,8 @@ class IsoResult:
     obstruction: str | None = None
     seed: int = 0
 
-    def __bool__(self):
-        return self.verdict == YES
 
-
-def is_isomorphic(m: DecRep, n: DecRep, seed: int = 0, tries: int = 64) -> IsoResult:
+def is_isomorphic(m: DecRep, n: DecRep, seed: int = 0) -> IsoResult:
     """Certified decorated-module isomorphism test.
 
     Only Hom(m, n) is built before the search.  The dimensions of Hom(n, m),
@@ -128,7 +128,7 @@ def is_isomorphic(m: DecRep, n: DecRep, seed: int = 0, tries: int = 64) -> IsoRe
         if is_isomorphism(m, n, b):
             return IsoResult(YES, certificate=b, seed=seed)
 
-    for trial in range(tries):
+    for trial in range(ISO_TRIES):
         bound = 1 + trial // 8
         coeffs = [fld.of(rng.randint(-bound, bound)) for _ in hom_mn.basis]
         g = combine(coeffs)

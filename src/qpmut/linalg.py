@@ -7,8 +7,11 @@ dict is never changed once its matrix is built, so matrices share rows.  Only
 this module sees the dicts.  Elimination returns the reduced row echelon
 form, which is unique: every answer is read off one RREF, so every basis,
 retraction and quotient produced here is deterministic whatever the
-elimination order.  The complement of a subspace is spanned by the standard
-basis vectors at the pivot columns of [basis | I] past the basis itself.
+elimination order.  A kernel basis comes with its retraction: the basis is
+the identity at the free columns, so the identity's rows at those columns
+give the coordinates of any kernel vector.  The complement of a subspace is
+spanned by the standard basis vectors at the pivot columns of [basis | I]
+past the basis itself.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ class Mat:
 
     def kernel_basis(self) -> "Mat":
         """Columns form a basis of the null space (deterministic)."""
-        return kernel_from_rref(*self.rref())
+        return kernel_from_rref(*self.rref())[0]
 
     def image_basis(self) -> "Mat":
         """Columns: the pivot columns of the original matrix."""
@@ -230,16 +233,20 @@ class Mat:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def kernel_from_rref(R: Mat, pivots: list[int]) -> Mat:
-    """Null-space basis of any matrix whose RREF is (R, pivots): one column
-    per free index j, with 1 at j and -R[row][j] at each pivot column."""
+def kernel_from_rref(R: Mat, pivots: list[int]) -> tuple[Mat, Mat]:
+    """(basis, retraction) of the null space of any matrix whose RREF is
+    (R, pivots).  The basis has one column per free index j, with 1 at j and
+    -R[row][j] at each pivot column; the retraction keeps the free entries
+    of a kernel vector, so retraction @ basis = I and it is zero at the
+    pivot columns."""
     one = R.field.one
     pivot_set = set(pivots)
     free = {j: c for c, j in enumerate(j for j in range(R.cols) if j not in pivot_set)}
     out: list[dict] = [{free[j]: one} if j in free else {} for j in range(R.cols)]
     for r, pc in zip(R._nz, pivots):
         out[pc] = {free[j]: -x for j, x in r.items() if j != pc}
-    return Mat._of(R.field, out, len(free))
+    retraction = Mat._of(R.field, [{j: one} for j in free], R.cols)
+    return Mat._of(R.field, out, len(free)), retraction
 
 
 # -- block assembly ----------------------------------------------------
@@ -325,14 +332,3 @@ def coords_in(basis: Mat, vectors: Mat) -> Mat:
         raise ShapeError("vectors do not lie in the span of the basis")
     return x
 
-
-def intersect_column_spaces(u: Mat, v: Mat) -> Mat:
-    """Basis of col(u) & col(v), via the kernel of [u | -v]."""
-    if u.rows != v.rows:
-        raise ShapeError("ambient dimension mismatch")
-    field = u.field
-    if u.cols == 0 or v.cols == 0:
-        return Mat.zero(field, u.rows, 0)
-    k = hstack(field, [u, -v]).kernel_basis()
-    top = k.take_rows(list(range(u.cols)))
-    return (u @ top).image_basis()

@@ -3,9 +3,11 @@
 The premutated module replaces the space at the mutation vertex by an
 amalgam of coker(beta) and ker(alpha) over im(gamma).  Four equivalent
 constructions are provided ("amalgam", "ker_alpha", "coker_beta",
-"pushout"); explicit isomorphisms between them are produced and verified on
-demand.  Full mutation premutates, then pulls the module structure back
-along the splitting substitution of the premutated potential.
+"pushout").  Each construction writes its space at k once, as a map F from
+amalgam coordinates (``_from_amalgam``); the isomorphism between two
+constructions is F_to @ F_from^-1, produced and verified on demand.  Full
+mutation premutates, then pulls the module structure back along the
+splitting substitution of the premutated potential.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import (
     ContextError,
     InvariantError,
     MutationNotDefined,
+    NotInvertibleError,
     Report,
     TruncationTooSmall,
 )
@@ -48,9 +51,8 @@ class PremutedRep:
     construction: str
     triangle: TrianglePack
     block_dims: list[tuple[str, int]]
-    # pushout bookkeeping (None for the other constructions)
+    # the pushout's quotient map (None for the other constructions)
     pushout_proj: Mat | None = None
-    pushout_sec: Mat | None = None
 
     @property
     def alpha_bar(self) -> Mat:
@@ -66,15 +68,16 @@ class PremutedRep:
 
 
 def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
-    """Return (block_dims, alpha_bar, beta_bar, extras) for the chosen
-    construction; alpha_bar: M_out -> Mbar_k, beta_bar: Mbar_k -> M_in."""
+    """Return (block_dims, alpha_bar, beta_bar, pushout_proj) for the chosen
+    construction; alpha_bar: M_out -> Mbar_k, beta_bar: Mbar_k -> M_in;
+    pushout_proj is None except for the pushout."""
     d_in, d_out = t.d_in, t.d_out
     q1 = t.dim_kergamma_mod_imbeta
     rg = t.dim_imgamma
     ka = t.dim_keralpha
     q2 = t.dim_keralpha_mod_imgamma
     c = t.dim_cokerbeta
-    extras: dict[str, Mat] = {}
+    qproj = None
 
     if kind == "amalgam":
         blocks = [("kergamma_mod_imbeta", q1), ("imgamma", rg),
@@ -123,8 +126,6 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
         rel_basis = rel.image_basis()
         _, qproj, qsec = subspace_package(rel_basis)
         pd = qproj.rows
-        extras["pushout_proj"] = qproj
-        extras["pushout_sec"] = qsec
         blocks = [("pushout", pd), ("decoration", vk)]
         qc = qproj.take_cols(list(range(c)))
         jmap = qproj.take_cols(list(range(c, c + ka)))
@@ -136,7 +137,7 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
         ], cols=d_out)
     else:
         raise InvariantError(f"unknown construction {kind!r}")
-    return blocks, alpha_bar, beta_bar, extras
+    return blocks, alpha_bar, beta_bar, qproj
 
 
 def premutate_rep(
@@ -160,7 +161,7 @@ def premutate_rep(
         t = _scramble_choices(t, scramble_seed)
     vk = rep.dec_dims[k]
 
-    blocks, alpha_bar, beta_bar, extras = _construction_blocks(t, vk, fld, construction)
+    blocks, alpha_bar, beta_bar, pushout_proj = _construction_blocks(t, vk, fld, construction)
     dbar_k = sum(d for _, d in blocks)
 
     # dimension bookkeeping of the amalgamated space
@@ -200,8 +201,7 @@ def premutate_rep(
         construction=construction,
         triangle=t,
         block_dims=blocks,
-        pushout_proj=extras.get("pushout_proj"),
-        pushout_sec=extras.get("pushout_sec"),
+        pushout_proj=pushout_proj,
     )
     if require_valid:
         check_module(out).require()
@@ -239,7 +239,9 @@ def check_beta_alpha(pm: PremutedRep) -> Report:
 
 def construction_iso(pm_from: PremutedRep, pm_to: PremutedRep) -> dict[int, Mat]:
     """Explicit isomorphism between two constructions of the same premutation
-    (same module, same triangle choices); identity away from k."""
+    (same module, same triangle choices); identity away from k.  At k it is
+    F_to @ F_from^-1 for the maps F from amalgam coordinates;
+    NotInvertibleError if F_from is singular."""
     if pm_from.k != pm_to.k or pm_from.triangle is not pm_to.triangle:
         # allow equal triangles built separately
         if pm_from.triangle.alpha != pm_to.triangle.alpha or \
@@ -248,7 +250,7 @@ def construction_iso(pm_from: PremutedRep, pm_to: PremutedRep) -> dict[int, Mat]
             raise ContextError("constructions come from different triangles")
     t = pm_from.triangle
     fld = pm_from.rep.field
-    f_k = _between_constructions(t, pm_from, pm_to, fld)
+    f_k = _from_amalgam(t, pm_to, fld) @ _from_amalgam(t, pm_from, fld).inverse()
     iso = {}
     for v in pm_from.rep.qp.quiver.vertices:
         if v == pm_from.k:
@@ -258,64 +260,9 @@ def construction_iso(pm_from: PremutedRep, pm_to: PremutedRep) -> dict[int, Mat]
     return iso
 
 
-def _to_amalgam(t: TrianglePack, pm: PremutedRep, fld) -> Mat:
-    """Map pm's space at k into amalgam coordinates."""
-    vk = dict(pm.block_dims).get("decoration", 0)
-    q1, rg, q2 = t.dim_kergamma_mod_imbeta, t.dim_imgamma, t.dim_keralpha_mod_imgamma
-    kind = pm.construction
-    if kind == "amalgam":
-        return Mat.identity(fld, q1 + rg + q2 + vk)
-    if kind == "ker_alpha":
-        # ker alpha splits as im gamma + section of the quotient
-        ka = t.dim_keralpha
-        to_im = coords_in(
-            t.im_gamma_in_keralpha,
-            Mat.identity(fld, ka) - (t.sigma @ t.pi2),
-        )
-        return block_matrix(fld, [
-            [Mat.identity(fld, q1), Mat.zero(fld, q1, ka), Mat.zero(fld, q1, vk)],
-            [Mat.zero(fld, rg, q1), to_im, Mat.zero(fld, rg, vk)],
-            [Mat.zero(fld, q2, q1), t.pi2, Mat.zero(fld, q2, vk)],
-            [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, ka), Mat.identity(fld, vk)],
-        ])
-    if kind == "coker_beta":
-        c = t.dim_cokerbeta
-        rho_bar = t.pi1 @ (t.rho @ t.coker_sec)
-        gamma_bar_img = coords_in(t.im_gamma, t.gamma @ t.coker_sec)
-        return block_matrix(fld, [
-            [rho_bar, Mat.zero(fld, q1, q2), Mat.zero(fld, q1, vk)],
-            [gamma_bar_img, Mat.zero(fld, rg, q2), Mat.zero(fld, rg, vk)],
-            [Mat.zero(fld, q2, c), Mat.identity(fld, q2), Mat.zero(fld, q2, vk)],
-            [Mat.zero(fld, vk, c), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
-        ])
-    if kind == "pushout":
-        # compose pushout -> (kergamma/imbeta + keralpha) -> amalgam
-        c = t.dim_cokerbeta
-        ka = t.dim_keralpha
-        pd = pm.pushout_sec.cols
-        rho_bar = t.pi1 @ (t.rho @ t.coker_sec)
-        f_top = block_matrix(fld, [
-            [rho_bar, Mat.zero(fld, q1, ka)],
-            [coords_in(t.ker_alpha, t.gamma @ t.coker_sec), Mat.identity(fld, ka)],
-        ]) @ pm.pushout_sec
-        # then ker alpha part into im gamma + quotient as above
-        to_im = coords_in(
-            t.im_gamma_in_keralpha,
-            Mat.identity(fld, ka) - (t.sigma @ t.pi2),
-        )
-        top_q1 = f_top.take_rows(list(range(q1)))
-        top_ka = f_top.take_rows(list(range(q1, q1 + ka)))
-        return block_matrix(fld, [
-            [top_q1, Mat.zero(fld, q1, vk)],
-            [to_im @ top_ka, Mat.zero(fld, rg, vk)],
-            [t.pi2 @ top_ka, Mat.zero(fld, q2, vk)],
-            [Mat.zero(fld, vk, pd), Mat.identity(fld, vk)],
-        ])
-    raise InvariantError(f"unknown construction {kind!r}")
-
-
 def _from_amalgam(t: TrianglePack, pm: PremutedRep, fld) -> Mat:
-    """Map amalgam coordinates onto pm's space at k."""
+    """Map amalgam coordinates onto pm's space at k: the one hand-written
+    change of coordinates per construction."""
     vk = dict(pm.block_dims).get("decoration", 0)
     q1, rg, q2 = t.dim_kergamma_mod_imbeta, t.dim_imgamma, t.dim_keralpha_mod_imgamma
     kind = pm.construction
@@ -351,10 +298,6 @@ def _from_amalgam(t: TrianglePack, pm: PremutedRep, fld) -> Mat:
     raise InvariantError(f"unknown construction {kind!r}")
 
 
-def _between_constructions(t: TrianglePack, pm_from: PremutedRep, pm_to: PremutedRep, fld) -> Mat:
-    return _from_amalgam(t, pm_to, fld) @ _to_amalgam(t, pm_from, fld)
-
-
 def constructions_agree(rep: DecRep, k: int) -> Report:
     """Build all four premutations over one shared triangle and verify the
     explicit pairwise isomorphisms between them."""
@@ -369,10 +312,14 @@ def constructions_agree(rep: DecRep, k: int) -> Report:
         for kind2 in CONSTRUCTIONS:
             if kind1 >= kind2:
                 continue
-            f = construction_iso(pms[kind1], pms[kind2])
+            name = f"{kind1}->{kind2} is an isomorphism"
+            try:
+                f = construction_iso(pms[kind1], pms[kind2])
+            except NotInvertibleError:
+                rpt.note(name, False)
+                continue
             rpt.witness[f"{kind1}->{kind2}"] = f
-            rpt.note(f"{kind1}->{kind2} is an isomorphism",
-                     is_isomorphism(pms[kind1].rep, pms[kind2].rep, f))
+            rpt.note(name, is_isomorphism(pms[kind1].rep, pms[kind2].rep, f))
     return rpt
 
 

@@ -74,11 +74,6 @@ class QP:
         )
 
 
-def zero_qp(quiver: Quiver, order: int, fld) -> QP:
-    space = JetSpace(quiver, order, fld)
-    return QP(quiver, Potential(space.zero()))
-
-
 def _require_admissible(q: Quiver, k: int) -> None:
     if k not in q.vertices:
         raise InvariantError(f"no vertex {k}")

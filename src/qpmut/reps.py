@@ -15,9 +15,7 @@ from .errors import ContextError, InvariantError, Report, ShapeError, Truncation
 from .jets import JetPoly
 from .linalg import (
     Mat,
-    coords_in,
     hstack,
-    intersect_column_spaces,
     kernel_from_rref,
     subspace_package,
     vstack,
@@ -172,15 +170,29 @@ def is_isomorphism(m: DecRep, n: DecRep, f: dict[int, Mat]) -> bool:
 class TrianglePack:
     """Everything the mutation constructions need at one vertex.
 
-    Bases are column matrices in ambient coordinates; retraction/projection
-    maps are written in the displayed coordinate systems:
+    The triangle is alpha: M_in -> M_k, beta: M_k -> M_out and
+    gamma: M_out -> M_in.  Bases are column matrices in ambient coordinates;
+    retraction/projection maps are written in the displayed coordinate
+    systems.  Three eliminations (of alpha, beta and gamma), three quotient
+    packages and one rank make the whole pack:
 
-      rho      : M_out -> ker gamma coords        (rho @ ker_gamma = I)
-      coker_p  : M_out -> coker beta coords       (coker_p @ coker_sec = I)
-      pi1      : ker gamma coords -> (ker gamma / im beta) coords
-      pi2      : ker alpha coords -> (ker alpha / im gamma) coords
-      sigma    : section of pi2
-      s1       : section of pi1
+      ker_alpha, ker_gamma : kernel bases from the RREFs of alpha and gamma
+      im_beta, im_gamma    : the pivot columns of beta and gamma
+      rho      : M_out -> ker gamma coords, gamma's kernel retraction
+                 (rho @ ker_gamma = I, zero at gamma's pivot columns)
+      im_gamma_in_keralpha, gamma_in_keralpha : alpha's kernel retraction
+                 applied to im_gamma and gamma (exact, since alpha gamma = 0)
+      gamma_in_imgamma : the nonzero rows of gamma's RREF
+      s_section: im gamma coords -> M_out, the standard basis vectors at
+                 gamma's pivot columns (gamma @ s_section = im_gamma,
+                 rho @ s_section = 0)
+      pi1, s1  : quotient package of rho @ im_beta inside ker gamma
+                 (exact, since gamma beta = 0): (ker gamma / im beta) coords
+      pi2, sigma : quotient package of im_gamma_in_keralpha:
+                 (ker alpha / im gamma) coords
+      coker_p, coker_sec : quotient package of im_beta in M_out
+      dim_new_decoration : dim ker beta / (ker beta & im alpha)
+                 = dim ker beta - rank alpha + rank(beta alpha)
     """
 
     k: int
@@ -205,9 +217,8 @@ class TrianglePack:
     s1: Mat
     pi2: Mat
     sigma: Mat
-    s_section: Mat  # im gamma coords -> M_out, gamma @ s_section = im_gamma
-    ker_beta: Mat
-    kerbeta_cap_imalpha: Mat
+    s_section: Mat
+    dim_new_decoration: int
 
     @property
     def d_in(self) -> int:
@@ -237,14 +248,10 @@ class TrianglePack:
     def dim_cokerbeta(self) -> int:
         return self.coker_p.rows
 
-    @property
-    def dim_new_decoration(self) -> int:
-        return self.ker_beta.cols - self.kerbeta_cap_imalpha.cols
-
 
 def build_triangle(rep: DecRep, k: int) -> TrianglePack:
     """Assemble the incoming/outgoing/second-derivative triangle at k and all
-    derived subspace data, with exact rank-nullity bookkeeping."""
+    derived subspace data, each read off the elimination that defines it."""
     q = rep.qp.quiver
     fld = rep.field
     ins = [a.id for a in q.arrows_into(k)]
@@ -276,44 +283,33 @@ def build_triangle(rep: DecRep, k: int) -> TrianglePack:
         else Mat.zero(fld, 0, d_out)
     )
 
+    # the read-offs below are exact only because these compositions vanish
     if not (alpha @ gamma).is_zero() or not (gamma @ beta).is_zero():
         raise InvariantError("triangle identities fail; module is invalid at k")
 
     # one elimination per map; kernels, images, ranks and pivots come from it
     r_alpha, piv_alpha = alpha.rref()
-    r_beta, piv_beta = beta.rref()
+    _, piv_beta = beta.rref()
     r_gamma, piv_gamma = gamma.rref()
-    ker_alpha = kernel_from_rref(r_alpha, piv_alpha)
-    ker_beta = kernel_from_rref(r_beta, piv_beta)
-    ker_gamma = kernel_from_rref(r_gamma, piv_gamma)
-    im_alpha = alpha.take_cols(piv_alpha)
+    ker_alpha, ret_alpha = kernel_from_rref(r_alpha, piv_alpha)
+    ker_gamma, rho = kernel_from_rref(r_gamma, piv_gamma)
     im_beta = beta.take_cols(piv_beta)
     im_gamma = gamma.take_cols(piv_gamma)
-    rho, _, _ = subspace_package(ker_gamma)
 
     # rank-nullity bookkeeping, checked on every build
-    if ker_alpha.cols + im_alpha.cols != d_in:
+    if ker_alpha.cols + len(piv_alpha) != d_in:
         raise InvariantError("rank-nullity violated for the incoming map")
-    if ker_beta.cols + im_beta.cols != dk:
-        raise InvariantError("rank-nullity violated for the outgoing map")
     if ker_gamma.cols + im_gamma.cols != d_out:
         raise InvariantError("rank-nullity violated for the derivative map")
 
-    im_beta_in_kergamma = coords_in(ker_gamma, im_beta)
-    _, pi1, s1 = subspace_package(im_beta_in_kergamma)
-
-    im_gamma_in_keralpha = coords_in(ker_alpha, im_gamma)
-    gamma_in_keralpha = coords_in(ker_alpha, gamma)
-    gamma_in_imgamma = coords_in(im_gamma, gamma)
+    im_gamma_in_keralpha = ret_alpha @ im_gamma
+    _, pi1, s1 = subspace_package(rho @ im_beta)
     _, pi2, sigma = subspace_package(im_gamma_in_keralpha)
-
     _, coker_p, coker_sec = subspace_package(im_beta)
 
-    # s_section: im gamma coords -> M_out with gamma @ s = im_gamma and rho @ s = 0
-    pre_mat = Mat.identity(fld, d_out).take_cols(piv_gamma)
-    s_section = pre_mat - (ker_gamma @ (rho @ pre_mat)) if ker_gamma.cols else pre_mat
-
-    cap = intersect_column_spaces(ker_beta, im_alpha)
+    # dim (ker beta & im alpha) = rank alpha - rank(beta alpha)
+    dim_ker_beta = dk - len(piv_beta)
+    dim_new_decoration = dim_ker_beta - len(piv_alpha) + (beta @ alpha).rank()
 
     return TrianglePack(
         k=k,
@@ -330,17 +326,16 @@ def build_triangle(rep: DecRep, k: int) -> TrianglePack:
         im_beta=im_beta,
         im_gamma=im_gamma,
         im_gamma_in_keralpha=im_gamma_in_keralpha,
-        gamma_in_keralpha=gamma_in_keralpha,
-        gamma_in_imgamma=gamma_in_imgamma,
+        gamma_in_keralpha=ret_alpha @ gamma,
+        gamma_in_imgamma=r_gamma.take_rows(list(range(len(piv_gamma)))),
         coker_p=coker_p,
         coker_sec=coker_sec,
         pi1=pi1,
         s1=s1,
         pi2=pi2,
         sigma=sigma,
-        s_section=s_section,
-        ker_beta=ker_beta,
-        kerbeta_cap_imalpha=cap,
+        s_section=Mat.identity(fld, d_out).take_cols(piv_gamma),
+        dim_new_decoration=dim_new_decoration,
     )
 
 

@@ -47,20 +47,8 @@ class ArrowSubstitution:
     def field(self) -> Field:
         return self.target_space.field
 
-    def __call__(self, u: JetPoly) -> JetPoly:
-        return apply_substitution(self, u)
-
     def is_identity(self) -> bool:
-        if self.source is not self.target_space.quiver and self.source != self.target_space.quiver:
-            return False
-        for a in self.source.arrows:
-            img = self.images[a.id]
-            if len(img.terms) != 1:
-                return False
-            ((p, c),) = img.terms.items()
-            if p.arrows != (a.id,) or c != self.field.one:
-                return False
-        return True
+        return self.source == self.target_space.quiver and not _touched_arrows(self)
 
 
 def identity_substitution(space: JetSpace) -> ArrowSubstitution:
@@ -69,15 +57,10 @@ def identity_substitution(space: JetSpace) -> ArrowSubstitution:
     )
 
 
-def substitution_from_images(
-    space: JetSpace, images: dict[str, JetPoly], source: Quiver | None = None
-) -> ArrowSubstitution:
+def substitution_from_images(space: JetSpace, images: dict[str, JetPoly]) -> ArrowSubstitution:
     """Build a substitution over ``space`` sending unlisted arrows to themselves."""
-    src = source if source is not None else space.quiver
-    full = {}
-    for a in src.arrows:
-        full[a.id] = images.get(a.id, space.arrow(a.id))
-    return ArrowSubstitution(src, space, full)
+    full = {a.id: images.get(a.id, space.arrow(a.id)) for a in space.quiver.arrows}
+    return ArrowSubstitution(space.quiver, space, full)
 
 
 def _touched_arrows(phi: ArrowSubstitution) -> set[str]:

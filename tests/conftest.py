@@ -8,6 +8,7 @@ import pytest
 from qpmut import QP, JetSpace, Potential, Quiver, Arrow
 from qpmut.cycles import cyclic_normalize
 from qpmut.fields import QQ
+from qpmut.linalg import Mat, hstack
 
 
 def markov_quiver() -> Quiver:
@@ -51,3 +52,12 @@ def a2_qp(order: int = 12) -> QP:
 def a3_line_qp(order: int = 12) -> QP:
     q = Quiver((1, 2, 3), (Arrow("a", 1, 2), Arrow("b", 2, 3)))
     return QP(q, Potential(JetSpace(q, order, QQ).zero()))
+
+
+def reference_intersection(u: Mat, v: Mat) -> Mat:
+    """Basis of col(u) & col(v), via the kernel of [u | -v]: a reference
+    kept apart from the library's rank formula."""
+    if u.cols == 0 or v.cols == 0:
+        return Mat.zero(u.field, u.rows, 0)
+    k = hstack(u.field, [u, -v]).kernel_basis()
+    return (u @ k.take_rows(list(range(u.cols)))).image_basis()

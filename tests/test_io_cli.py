@@ -195,6 +195,26 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     assert "FAILED" in (tmp_path / "inv.txt").read_text()
 
 
+def test_cli_fourway_reports_a_singular_coordinate_map(tmp_path, monkeypatch):
+    # a singular map from amalgam coordinates is a failed check, not an input error
+    import qpmut.mutation as mutmod
+
+    from_amalgam = mutmod._from_amalgam
+
+    def singular(t, pm, fld):
+        f = from_amalgam(t, pm, fld)
+        return f.scale(fld.zero) if pm.construction == "ker_alpha" else f
+
+    monkeypatch.setattr(mutmod, "_from_amalgam", singular)
+    out = tmp_path / "fourway.txt"
+    code = main(["verify", "--in", fixture("markov_rep.json"), "--suite", "fourway",
+                 "--out", str(out)])
+    assert code == 1
+    text = out.read_text()
+    assert "FAIL four constructions agree" in text
+    assert "amalgam->ker_alpha is an isomorphism" in text
+
+
 def test_cli_pre_flag(tmp_path):
     out = tmp_path / "pre.json"
     assert main([
@@ -399,6 +419,27 @@ def test_cli_rejects_a_non_positive_trunc(tmp_path, trunc):
     ]) == 2
     assert not out.exists()
     assert main(["mutate-qp", "--in", fixture("markov.json"), "--at", "3", "--trunc", trunc]) == 2
+
+
+def test_cli_mutate_qp_refuses_a_term_longer_than_trunc(tmp_path, capsys):
+    doc = json.loads(open(fixture("markov.json")).read())
+    doc["payload"]["potential"].append(
+        {"coeff": "5", "cycle": ["a1", "c1", "b1", "a2", "c2", "b2"]}
+    )
+    src = tmp_path / "markov6.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "q.json"
+    # without --trunc the length-6 term is kept
+    assert main(["mutate-qp", "--in", str(src), "--at", "3", "--out", str(out)]) == 0
+    assert any(t["coeff"] == "5" for t in json.loads(out.read_text())["payload"]["potential"])
+    capsys.readouterr()
+    for n in (4, 5):
+        out = tmp_path / f"q{n}.json"
+        assert main(["mutate-qp", "--in", str(src), "--at", "3", "--trunc", str(n),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "length 6" in err and f"truncation order {n}" in err
 
 
 @pytest.mark.parametrize("env", ["abc", "-5", "0", "1.5"])

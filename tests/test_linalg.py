@@ -9,14 +9,15 @@ from pathlib import Path
 import pytest
 import sympy
 
-from qpmut import QQ, ShapeError
+from conftest import markov_qp, reference_intersection
+from qpmut import QQ, ShapeError, build_triangle
 from qpmut.fields import PrimeField
+from qpmut.generate import random_valid_module
 from qpmut.linalg import (
     Mat,
     block_diag,
     coords_in,
     hstack,
-    intersect_column_spaces,
     subspace_package,
     vstack,
 )
@@ -200,7 +201,7 @@ def test_intersection_against_rank_formula():
         n = rng.randint(1, 6)
         u = _rand(rng, n, rng.randint(0, 4)).image_basis()
         v = _rand(rng, n, rng.randint(0, 4)).image_basis()
-        cap = intersect_column_spaces(u, v)
+        cap = reference_intersection(u, v)
         # independent oracle: dim(U & V) = rank U + rank V - rank [U V]
         expected = u.cols + v.cols - hstack(QQ, [u, v], rows=n).rank()
         assert cap.cols == expected
@@ -208,6 +209,18 @@ def test_intersection_against_rank_formula():
         if cap.cols:
             assert u.solve(cap) is not None
             assert v.solve(cap) is not None
+    # the new decoration's rank formula against the reference intersection
+    qp = markov_qp()
+    for _ in range(6):
+        m = random_valid_module(qp, rng, max_dim=4)
+        for k in qp.quiver.vertices:
+            t = build_triangle(m, k)
+            ker_beta = t.beta.kernel_basis()
+            cap = reference_intersection(ker_beta, t.alpha.image_basis())
+            if cap.cols:
+                assert ker_beta.solve(cap) is not None
+                assert t.alpha.solve(cap) is not None
+            assert t.dim_new_decoration == ker_beta.cols - cap.cols
 
 
 def test_coords_in_raises_outside_span():

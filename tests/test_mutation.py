@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import a2_qp, markov_qp, MARKOV_K
+from conftest import a2_qp, markov_qp, reference_intersection, MARKOV_K
 from qpmut import docio
 from qpmut import (
     CONSTRUCTIONS,
@@ -81,7 +81,12 @@ def test_dimension_bookkeeping_all_constructions(markov):
                 + m.dec_dims[MARKOV_K]
             )
             assert pm.rep.dims[MARKOV_K] == expected_mk
-            expected_vk = t.ker_beta.cols - t.kerbeta_cap_imalpha.cols
+            ker_beta = t.beta.kernel_basis()
+            cap = reference_intersection(ker_beta, t.alpha.image_basis())
+            if cap.cols:
+                assert ker_beta.solve(cap) is not None
+                assert t.alpha.solve(cap) is not None
+            expected_vk = ker_beta.cols - cap.cols
             assert pm.rep.dec_dims[MARKOV_K] == expected_vk
 
 

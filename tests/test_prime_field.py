@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import markov_qp, MARKOV_K
+from qpmut import docio
 from qpmut import (
     ContextError,
     GF,
@@ -95,6 +96,25 @@ def test_module_mutation_over_f7():
     w = involution_pullback(m, MARKOV_K)
     assert is_isomorphic(w, m, seed=11).verdict == YES
     assert duality_witness(m, MARKOV_K).ok
+
+
+def test_equal_elements_hash_equal_across_parse_and_emit():
+    rep = docio.load_path("fixtures/markov_rep.json")
+    doc = docio.emit_decrep(rep)
+    doc["field"] = "Fp:7"
+    rep = docio.parse(doc)
+    for k in (3, 1, 2):
+        rep = mutate_rep(rep, k)
+    back = docio.loads(docio.dumps(docio.emit_decrep(rep)))
+    assert back.maps == rep.maps
+    values = [x for m in list(rep.maps.values()) + list(back.maps.values())
+              for row in m.data for x in row]
+    values += [F7.of(n) for n in range(-21, 22)] + [F7.parse(str(n)) for n in range(7)]
+    residues = [F7.of(n) for n in range(7)]
+    for x in values:
+        (same,) = [r for r in residues if r == x]
+        assert hash(x) == hash(same)
+    assert len(set(values)) == 7
 
 
 def test_prime_field_primality_is_exact_and_fast():

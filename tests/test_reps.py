@@ -1,11 +1,14 @@
 """Decorated representations: module checks, jet actions, triangles."""
 
+import dataclasses
 import random
 
 import pytest
 
-from conftest import a2_qp, markov_qp, MARKOV_K
+from conftest import a2_qp, markov_qp, reference_intersection, MARKOV_K
+from qpmut import docio
 from qpmut import (
+    GF,
     CertificateError,
     DecRep,
     Mat,
@@ -19,7 +22,8 @@ from qpmut import (
     path_action,
     simple_rep,
 )
-from qpmut.generate import random_valid_module, truncated_projective
+from qpmut.generate import random_qp, random_valid_module, truncated_projective
+from qpmut.linalg import coords_in, subspace_package
 from qpmut.reps import is_intertwiner, is_isomorphism, path_matrix
 
 
@@ -189,6 +193,88 @@ def test_triangle_simple_at_vertex(markov):
     assert t.ker_alpha.cols == 0
     assert t.dim_cokerbeta == 0
     assert t.dim_new_decoration == 1  # ker beta = M_k
+
+
+def _reference_triangle(t):
+    """Every derived field of a triangle pack by the general route: solve for
+    coordinates, take retractions from subspace_package, intersect."""
+    ker_alpha = t.alpha.kernel_basis()
+    ker_beta = t.beta.kernel_basis()
+    ker_gamma = t.gamma.kernel_basis()
+    im_beta = t.beta.image_basis()
+    im_gamma = t.gamma.image_basis()
+    rho, _, _ = subspace_package(ker_gamma)
+    _, pi1, s1 = subspace_package(coords_in(ker_gamma, im_beta))
+    im_gamma_in_keralpha = coords_in(ker_alpha, im_gamma)
+    _, pi2, sigma = subspace_package(im_gamma_in_keralpha)
+    _, coker_p, coker_sec = subspace_package(im_beta)
+    pre = Mat.identity(t.gamma.field, t.d_out).take_cols(t.gamma.rref()[1])
+    cap = reference_intersection(ker_beta, t.alpha.image_basis())
+    return dict(
+        ker_alpha=ker_alpha,
+        ker_gamma=ker_gamma,
+        rho=rho,
+        im_beta=im_beta,
+        im_gamma=im_gamma,
+        im_gamma_in_keralpha=im_gamma_in_keralpha,
+        gamma_in_keralpha=coords_in(ker_alpha, t.gamma),
+        gamma_in_imgamma=coords_in(im_gamma, t.gamma),
+        coker_p=coker_p,
+        coker_sec=coker_sec,
+        pi1=pi1,
+        s1=s1,
+        pi2=pi2,
+        sigma=sigma,
+        s_section=pre - ker_gamma @ (rho @ pre),
+        dim_new_decoration=ker_beta.cols - cap.cols,
+    )
+
+
+def _shape_and_entries(x):
+    if isinstance(x, Mat):
+        return (x.rows, x.cols), [str(e) for row in x.data for e in row]
+    return x
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "Fp5"])
+def test_triangle_read_offs_match_the_general_derivation(field):
+    rng = random.Random(907)
+    # the Markov QP gives nonzero derivative maps; random QPs vary the shapes
+    qps = [markov_qp(field=field)] * 8
+    qps += [random_qp(rng, max_vertices=4, max_arrows=6, max_terms=4, max_len=4, field=field)
+            for _ in range(5)]
+    checked = nonzero_gamma = 0
+    for qp in qps:
+        for _ in range(2):
+            try:
+                m = random_valid_module(qp, rng, max_dim=5)
+            except RuntimeError:
+                continue
+            for k in qp.quiver.vertices:
+                if qp.quiver.has_two_cycle_at(k):
+                    continue
+                t = build_triangle(m, k)
+                ref = _reference_triangle(t)
+                derived = {f.name for f in dataclasses.fields(t)} - {
+                    "k", "in_arrows", "out_arrows", "in_dims", "out_dims",
+                    "alpha", "beta", "gamma"}
+                assert derived == set(ref)
+                for name, want in ref.items():
+                    got = getattr(t, name)
+                    assert _shape_and_entries(got) == _shape_and_entries(want), name
+                checked += 1
+                nonzero_gamma += not t.gamma.is_zero()
+    assert checked >= 60 and nonzero_gamma >= 20
+
+
+def test_triangle_costs_seven_eliminations(monkeypatch):
+    # alpha, beta and gamma, three quotient packages and rank(beta alpha)
+    rep = docio.load_path("fixtures/markov_rep.json")
+    calls = []
+    rref = Mat.rref
+    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    build_triangle(rep, MARKOV_K)
+    assert len(calls) == 7
 
 
 def test_triangle_a2_projective():
