@@ -40,7 +40,6 @@ from .mutation import (
     PremutedRep,
     check_beta_alpha,
     constructions_agree,
-    construction_iso,
     double_premutation_equiv,
     double_premutation_potential_identity,
     involution_pullback,

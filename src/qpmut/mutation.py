@@ -3,17 +3,17 @@
 The premutated module replaces the space at the mutation vertex by an
 amalgam of coker(beta) and ker(alpha) over im(gamma).  Four equivalent
 constructions are provided ("amalgam", "ker_alpha", "coker_beta",
-"pushout").  Each construction writes its space at k once, as a map F from
-amalgam coordinates (``_from_amalgam``); the isomorphism between two
-constructions is F_to @ F_from^-1, produced and verified on demand.  Full
+"pushout").  Each construction is written once, in one branch that makes
+its reversed-arrow maps together with the map F from amalgam coordinates
+onto its space at k; the isomorphism between two constructions is
+F_to @ F_from^-1, produced and verified by ``constructions_agree``.  Full
 mutation premutates, then pulls the module structure back along the
 splitting substitution of the premutated potential.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cycles import cyclic_normalize, cyclically_equivalent
 from .errors import (
@@ -44,15 +44,14 @@ CONSTRUCTIONS = ("amalgam", "ker_alpha", "coker_beta", "pushout")
 @dataclass
 class PremutedRep:
     """A decorated representation of the premutated QP, remembering how the
-    space at the mutation vertex was assembled."""
+    space at the mutation vertex was assembled: ``amalgam_map`` is the map F
+    from amalgam coordinates onto that space, made with the construction."""
 
     rep: DecRep
     k: int
     construction: str
     triangle: TrianglePack
-    block_dims: list[tuple[str, int]]
-    # the pushout's quotient map (None for the other constructions)
-    pushout_proj: Mat | None = None
+    amalgam_map: Mat
 
     @property
     def alpha_bar(self) -> Mat:
@@ -68,20 +67,20 @@ class PremutedRep:
 
 
 def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
-    """Return (block_dims, alpha_bar, beta_bar, pushout_proj) for the chosen
-    construction; alpha_bar: M_out -> Mbar_k, beta_bar: Mbar_k -> M_in;
-    pushout_proj is None except for the pushout."""
+    """Return (F, alpha_bar, beta_bar) for the chosen construction, each
+    branch writing all three from the same intermediates.  F maps amalgam
+    coordinates (ker gamma/im beta, im gamma, ker alpha/im gamma, decoration)
+    onto the construction's space Mbar_k; alpha_bar: M_out -> Mbar_k,
+    beta_bar: Mbar_k -> M_in."""
     d_in, d_out = t.d_in, t.d_out
     q1 = t.dim_kergamma_mod_imbeta
     rg = t.dim_imgamma
     ka = t.dim_keralpha
     q2 = t.dim_keralpha_mod_imgamma
     c = t.dim_cokerbeta
-    qproj = None
 
     if kind == "amalgam":
-        blocks = [("kergamma_mod_imbeta", q1), ("imgamma", rg),
-                  ("keralpha_mod_imgamma", q2), ("decoration", vk)]
+        f = Mat.identity(fld, q1 + rg + q2 + vk)
         beta_bar = hstack(fld, [
             Mat.zero(fld, d_in, q1),
             t.ker_alpha @ t.im_gamma_in_keralpha,
@@ -95,7 +94,11 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
             Mat.zero(fld, vk, d_out),
         ], cols=d_out)
     elif kind == "ker_alpha":
-        blocks = [("kergamma_mod_imbeta", q1), ("keralpha", ka), ("decoration", vk)]
+        f = block_matrix(fld, [
+            [Mat.identity(fld, q1), Mat.zero(fld, q1, rg), Mat.zero(fld, q1, q2), Mat.zero(fld, q1, vk)],
+            [Mat.zero(fld, ka, q1), t.im_gamma_in_keralpha, t.sigma, Mat.zero(fld, ka, vk)],
+            [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
+        ])
         beta_bar = hstack(fld, [
             Mat.zero(fld, d_in, q1),
             t.ker_alpha,
@@ -107,7 +110,12 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
             Mat.zero(fld, vk, d_out),
         ], cols=d_out)
     elif kind == "coker_beta":
-        blocks = [("cokerbeta", c), ("keralpha_mod_imgamma", q2), ("decoration", vk)]
+        f = block_matrix(fld, [
+            [t.coker_p @ (t.ker_gamma @ t.s1), t.coker_p @ t.s_section,
+             Mat.zero(fld, c, q2), Mat.zero(fld, c, vk)],
+            [Mat.zero(fld, q2, q1), Mat.zero(fld, q2, rg), Mat.identity(fld, q2), Mat.zero(fld, q2, vk)],
+            [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
+        ])
         beta_bar = hstack(fld, [
             t.gamma @ t.coker_sec,
             t.ker_alpha @ t.sigma,
@@ -119,16 +127,20 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
             Mat.zero(fld, vk, d_out),
         ], cols=d_out)
     elif kind == "pushout":
+        # independent columns, as im_gamma_in_keralpha's are (else ShapeError)
         rel = vstack(fld, [
             t.coker_p @ t.s_section,
             -t.im_gamma_in_keralpha,
         ], cols=rg)
-        rel_basis = rel.image_basis()
-        _, qproj, qsec = subspace_package(rel_basis)
+        _, qproj, qsec = subspace_package(rel)
         pd = qproj.rows
-        blocks = [("pushout", pd), ("decoration", vk)]
         qc = qproj.take_cols(list(range(c)))
         jmap = qproj.take_cols(list(range(c, c + ka)))
+        f = block_matrix(fld, [
+            [qc @ (t.coker_p @ (t.ker_gamma @ t.s1)), jmap @ t.im_gamma_in_keralpha,
+             jmap @ t.sigma, Mat.zero(fld, pd, vk)],
+            [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
+        ])
         iota_bar = hstack(fld, [t.gamma @ t.coker_sec, t.ker_alpha], rows=d_in) @ qsec
         beta_bar = hstack(fld, [iota_bar, Mat.zero(fld, d_in, vk)], rows=d_in)
         alpha_bar = vstack(fld, [
@@ -137,7 +149,7 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
         ], cols=d_out)
     else:
         raise InvariantError(f"unknown construction {kind!r}")
-    return blocks, alpha_bar, beta_bar, qproj
+    return f, alpha_bar, beta_bar
 
 
 def premutate_rep(
@@ -145,7 +157,6 @@ def premutate_rep(
     k: int,
     construction: str = "ker_alpha",
     require_valid: bool = True,
-    scramble_seed: int | None = None,
     triangle: TrianglePack | None = None,
 ) -> PremutedRep:
     """Build the premutated decorated representation at k."""
@@ -157,22 +168,14 @@ def premutate_rep(
     fld = rep.field
     qpt = premutate_qp(qp, k)
     t = triangle if triangle is not None else build_triangle(rep, k)
-    if scramble_seed is not None:
-        t = _scramble_choices(t, scramble_seed)
     vk = rep.dec_dims[k]
 
-    blocks, alpha_bar, beta_bar, pushout_proj = _construction_blocks(t, vk, fld, construction)
-    dbar_k = sum(d for _, d in blocks)
-
-    # dimension bookkeeping of the amalgamated space
-    expected = (
-        t.dim_kergamma_mod_imbeta
-        + t.dim_imgamma
-        + t.dim_keralpha_mod_imgamma
-        + vk
-    )
-    if dbar_k != expected:
+    f, alpha_bar, beta_bar = _construction_blocks(t, vk, fld, construction)
+    # dimension bookkeeping: the new space has as many dimensions as the
+    # amalgam has coordinates
+    if f.rows != f.cols:
         raise CertificateError("dimension bookkeeping failed for the new space")
+    dbar_k = f.rows
 
     dims = {v: (dbar_k if v == k else rep.dims[v]) for v in qp.quiver.vertices}
     dec = {v: (t.dim_new_decoration if v == k else rep.dec_dims[v]) for v in qp.quiver.vertices}
@@ -195,37 +198,10 @@ def premutate_rep(
         off += d
 
     out = DecRep(qpt, dims, maps, dec)
-    pm = PremutedRep(
-        rep=out,
-        k=k,
-        construction=construction,
-        triangle=t,
-        block_dims=blocks,
-        pushout_proj=pushout_proj,
-    )
+    pm = PremutedRep(rep=out, k=k, construction=construction, triangle=t, amalgam_map=f)
     if require_valid:
         check_module(out).require()
     return pm
-
-
-def _scramble_choices(t: TrianglePack, seed: int) -> TrianglePack:
-    """Replace rho and sigma by different valid choices (seeded), for
-    choice-independence experiments."""
-    rng = random.Random(seed)
-    fld = t.alpha.field
-    kg = t.ker_gamma.cols
-
-    def rand_mat(r, c):
-        return Mat(fld, [[fld.of(rng.randint(-2, 2)) for _ in range(c)] for _ in range(r)]) \
-            if r and c else Mat.zero(fld, r, c)
-
-    z = rand_mat(kg, t.d_out)
-    new_rho = t.rho + z - ((z @ t.ker_gamma) @ t.rho)
-    w = rand_mat(t.im_gamma_in_keralpha.cols, t.pi2.rows)
-    new_sigma = t.sigma + t.im_gamma_in_keralpha @ w
-    # s_section - K (new_rho s_section) is the section with new_rho @ s = 0
-    new_s = t.s_section - t.ker_gamma @ (new_rho @ t.s_section)
-    return replace(t, rho=new_rho, sigma=new_sigma, s_section=new_s)
 
 
 def check_beta_alpha(pm: PremutedRep) -> Report:
@@ -237,89 +213,38 @@ def check_beta_alpha(pm: PremutedRep) -> Report:
     return rpt
 
 
-def construction_iso(pm_from: PremutedRep, pm_to: PremutedRep) -> dict[int, Mat]:
-    """Explicit isomorphism between two constructions of the same premutation
-    (same module, same triangle choices); identity away from k.  At k it is
-    F_to @ F_from^-1 for the maps F from amalgam coordinates;
-    NotInvertibleError if F_from is singular."""
-    if pm_from.k != pm_to.k or pm_from.triangle is not pm_to.triangle:
-        # allow equal triangles built separately
-        if pm_from.triangle.alpha != pm_to.triangle.alpha or \
-           pm_from.triangle.beta != pm_to.triangle.beta or \
-           pm_from.triangle.gamma != pm_to.triangle.gamma:
-            raise ContextError("constructions come from different triangles")
-    t = pm_from.triangle
-    fld = pm_from.rep.field
-    f_k = _from_amalgam(t, pm_to, fld) @ _from_amalgam(t, pm_from, fld).inverse()
-    iso = {}
-    for v in pm_from.rep.qp.quiver.vertices:
-        if v == pm_from.k:
-            iso[v] = f_k
-        else:
-            iso[v] = Mat.identity(fld, pm_from.rep.dims[v])
-    return iso
-
-
-def _from_amalgam(t: TrianglePack, pm: PremutedRep, fld) -> Mat:
-    """Map amalgam coordinates onto pm's space at k: the one hand-written
-    change of coordinates per construction."""
-    vk = dict(pm.block_dims).get("decoration", 0)
-    q1, rg, q2 = t.dim_kergamma_mod_imbeta, t.dim_imgamma, t.dim_keralpha_mod_imgamma
-    kind = pm.construction
-    if kind == "amalgam":
-        return Mat.identity(fld, q1 + rg + q2 + vk)
-    if kind == "ker_alpha":
-        ka = t.dim_keralpha
-        return block_matrix(fld, [
-            [Mat.identity(fld, q1), Mat.zero(fld, q1, rg), Mat.zero(fld, q1, q2), Mat.zero(fld, q1, vk)],
-            [Mat.zero(fld, ka, q1), t.im_gamma_in_keralpha, t.sigma, Mat.zero(fld, ka, vk)],
-            [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
-        ])
-    if kind == "coker_beta":
-        c = t.dim_cokerbeta
-        iota_bar = t.coker_p @ (t.ker_gamma @ t.s1)
-        ps = t.coker_p @ t.s_section
-        return block_matrix(fld, [
-            [iota_bar, ps, Mat.zero(fld, c, q2), Mat.zero(fld, c, vk)],
-            [Mat.zero(fld, q2, q1), Mat.zero(fld, q2, rg), Mat.identity(fld, q2), Mat.zero(fld, q2, vk)],
-            [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
-        ])
-    if kind == "pushout":
-        c = t.dim_cokerbeta
-        ka = t.dim_keralpha
-        pd = pm.pushout_proj.rows
-        qc = pm.pushout_proj.take_cols(list(range(c)))
-        jmap = pm.pushout_proj.take_cols(list(range(c, c + ka)))
-        iota_bar = t.coker_p @ (t.ker_gamma @ t.s1)
-        return block_matrix(fld, [
-            [qc @ iota_bar, jmap @ t.im_gamma_in_keralpha, jmap @ t.sigma, Mat.zero(fld, pd, vk)],
-            [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
-        ])
-    raise InvariantError(f"unknown construction {kind!r}")
-
-
 def constructions_agree(rep: DecRep, k: int) -> Report:
     """Build all four premutations over one shared triangle and verify the
-    explicit pairwise isomorphisms between them."""
+    explicit pairwise isomorphisms between them: identity away from k, and
+    F_to @ F_from^-1 at k, each F inverted at most once.  A pair whose F_from
+    is singular fails."""
     t = build_triangle(rep, k)
     pms = {}
     for kind in CONSTRUCTIONS:
         pms[kind] = premutate_rep(
             rep, k, kind, require_valid=(kind == CONSTRUCTIONS[0]), triangle=t
         )
+    inverses: dict[str, Mat | None] = {}
     rpt = Report("constructions_agree")
     for kind1 in CONSTRUCTIONS:
         for kind2 in CONSTRUCTIONS:
             if kind1 >= kind2:
                 continue
             name = f"{kind1}->{kind2} is an isomorphism"
-            try:
-                f = construction_iso(pms[kind1], pms[kind2])
-            except NotInvertibleError:
+            if kind1 not in inverses:
+                try:
+                    inverses[kind1] = pms[kind1].amalgam_map.inverse()
+                except NotInvertibleError:
+                    inverses[kind1] = None
+            if inverses[kind1] is None:
                 rpt.note(name, False)
                 continue
+            m_from, m_to = pms[kind1].rep, pms[kind2].rep
+            f_k = pms[kind2].amalgam_map @ inverses[kind1]
+            f = {v: (f_k if v == k else Mat.identity(m_from.field, m_from.dims[v]))
+                 for v in m_from.qp.quiver.vertices}
             rpt.witness[f"{kind1}->{kind2}"] = f
-            rpt.note(name, is_isomorphism(pms[kind1].rep, pms[kind2].rep, f))
+            rpt.note(name, is_isomorphism(m_from, m_to, f))
     return rpt
 
 
@@ -472,14 +397,14 @@ def double_premutation_potential_identity(qp: QP, k: int) -> bool:
     return cyclically_equivalent(qptt.potential.jet, expected.jet)
 
 
-def involution_pullback(rep: DecRep, k: int, construction: str = "ker_alpha") -> DecRep:
+def involution_pullback(rep: DecRep, k: int) -> DecRep:
     """Premutate twice, then pull the result back to the original QP along
     the sign-twisted embedding (original arrows act as their double-starred
     descendants, with a sign on arrows leaving k)."""
     qp = rep.qp
     hj, _, _ = double_premutation_equiv(qp, k)
-    pm1 = premutate_rep(rep, k, construction)
-    pm2 = premutate_rep(pm1.rep, k, construction)
+    pm1 = premutate_rep(rep, k)
+    pm2 = premutate_rep(pm1.rep, k)
     rep2 = pm2.rep
     maps = {}
     for a in qp.quiver.arrows:

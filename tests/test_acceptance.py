@@ -22,7 +22,6 @@ from qpmut import (
     YES,
     check_beta_alpha,
     check_module,
-    construction_iso,
     constructions_agree,
     cyclic_derivative,
     duality_witness,

@@ -199,13 +199,13 @@ def test_cli_fourway_reports_a_singular_coordinate_map(tmp_path, monkeypatch):
     # a singular map from amalgam coordinates is a failed check, not an input error
     import qpmut.mutation as mutmod
 
-    from_amalgam = mutmod._from_amalgam
+    construction_blocks = mutmod._construction_blocks
 
-    def singular(t, pm, fld):
-        f = from_amalgam(t, pm, fld)
-        return f.scale(fld.zero) if pm.construction == "ker_alpha" else f
+    def singular(t, vk, fld, kind):
+        f, alpha_bar, beta_bar = construction_blocks(t, vk, fld, kind)
+        return (f.scale(fld.zero) if kind == "ker_alpha" else f), alpha_bar, beta_bar
 
-    monkeypatch.setattr(mutmod, "_from_amalgam", singular)
+    monkeypatch.setattr(mutmod, "_construction_blocks", singular)
     out = tmp_path / "fourway.txt"
     code = main(["verify", "--in", fixture("markov_rep.json"), "--suite", "fourway",
                  "--out", str(out)])

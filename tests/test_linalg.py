@@ -18,6 +18,7 @@ from qpmut.linalg import (
     block_diag,
     coords_in,
     hstack,
+    kernel_from_rref,
     subspace_package,
     vstack,
 )
@@ -132,6 +133,23 @@ def test_kernel_matches_sympy():
         assert (m @ k).is_zero()
         sk = _to_sympy(m).nullspace()
         assert k.cols == len(sk)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "Fp5"])
+def test_kernel_from_rref_basis_and_retraction(field):
+    # the kernel basis is killed by the matrix, the retraction inverts it on
+    # the left, and the retraction reads no pivot coordinate
+    rng = random.Random(29)
+    shapes = [(0, 0), (0, 4), (4, 0)] + [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]
+    for rows, cols in shapes:
+        ints = _ints(rng, rows, cols, density=rng.choice([0.2, 0.6, 1.0]))
+        m = Mat.from_int_rows(field, ints) if rows and cols else Mat.zero(field, rows, cols)
+        R, pivots = m.rref()
+        basis, retraction = kernel_from_rref(R, pivots)
+        assert (basis.rows, basis.cols) == (cols, cols - len(pivots))
+        assert (m @ basis).is_zero()
+        assert retraction @ basis == Mat.identity(field, basis.cols)
+        assert retraction.take_cols(pivots).is_zero()
 
 
 def test_rank_matches_sympy():

@@ -1,6 +1,7 @@
 """Mutation of decorated representations: the four constructions, the
 composition identity, annihilation, pullbacks, and round trips."""
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -21,6 +22,7 @@ from qpmut import (
     QQ,
     Quiver,
     TruncationTooSmall,
+    build_triangle,
     check_beta_alpha,
     check_module,
     constructions_agree,
@@ -130,13 +132,24 @@ def test_beta_alpha_negative_control(markov):
             bad_maps[name] = -bad_maps[name]
             break
     bad = DecRep(pm.rep.qp, dict(pm.rep.dims), bad_maps, dict(pm.rep.dec_dims))
-    from qpmut.mutation import PremutedRep
-
-    bad_pm = PremutedRep(
-        rep=bad, k=pm.k, construction=pm.construction,
-        triangle=pm.triangle, block_dims=pm.block_dims,
-    )
+    bad_pm = dataclasses.replace(pm, rep=bad)
     assert not check_beta_alpha(bad_pm).ok
+
+
+def test_pushout_premutation_costs_one_elimination(markov, monkeypatch):
+    # the quotient package of the pushout relations, whose columns are
+    # independent and so are not eliminated again to pick a basis
+    rng = random.Random(151)
+    while True:
+        rep = random_valid_module(markov, rng, max_dim=3)
+        t = build_triangle(rep, MARKOV_K)
+        if not t.gamma.is_zero():
+            break
+    calls = []
+    rref = Mat.rref
+    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    premutate_rep(rep, MARKOV_K, "pushout", require_valid=False, triangle=t)
+    assert len(calls) == 1
 
 
 def test_annihilation_by_premuted_derivatives(markov):
@@ -202,14 +215,32 @@ def test_mutate_rep_a2_projective_to_simple():
     assert out.dec_dims == {1: 0, 2: 0}
 
 
+def _scramble_choices(t, seed):
+    """Replace rho and sigma by different valid choices (seeded)."""
+    rng = random.Random(seed)
+    fld = t.alpha.field
+    kg = t.ker_gamma.cols
+
+    def rand_mat(r, c):
+        return Mat(fld, [[fld.of(rng.randint(-2, 2)) for _ in range(c)] for _ in range(r)]) \
+            if r and c else Mat.zero(fld, r, c)
+
+    z = rand_mat(kg, t.d_out)
+    new_rho = t.rho + z - ((z @ t.ker_gamma) @ t.rho)
+    w = rand_mat(t.im_gamma_in_keralpha.cols, t.pi2.rows)
+    new_sigma = t.sigma + t.im_gamma_in_keralpha @ w
+    # s_section - K (new_rho s_section) is the section with new_rho @ s = 0
+    new_s = t.s_section - t.ker_gamma @ (new_rho @ t.s_section)
+    return dataclasses.replace(t, rho=new_rho, sigma=new_sigma, s_section=new_s)
+
+
 def test_scrambled_choices_give_isomorphic_premutation(markov):
     rng = random.Random(137)
     m = random_valid_module(markov, rng, max_dim=3)
     reduced, phi, _ = mutate_qp(markov, MARKOV_K)
     out1 = pullback_reduction(premutate_rep(m, MARKOV_K).rep, phi, reduced)
-    out2 = pullback_reduction(
-        premutate_rep(m, MARKOV_K, scramble_seed=99).rep, phi, reduced
-    )
+    t = _scramble_choices(build_triangle(m, MARKOV_K), 99)
+    out2 = pullback_reduction(premutate_rep(m, MARKOV_K, triangle=t).rep, phi, reduced)
     res = is_isomorphic(out1, out2, seed=5)
     assert res.verdict == YES
 

@@ -343,6 +343,20 @@ def test_check_module_names_each_check():
         rpt.require()
 
 
+def test_is_isomorphism_rejects_a_singular_candidate_before_intertwining(markov, monkeypatch):
+    # the rank test runs first, so a candidate singular at some vertex never
+    # reaches the arrow products
+    import qpmut.reps as repsmod
+
+    def no_intertwiner(*args):
+        raise AssertionError("is_intertwiner called")
+
+    s = simple_rep(markov, 1)
+    singular = {v: Mat.zero(QQ, s.dims[v], s.dims[v]) for v in markov.quiver.vertices}
+    monkeypatch.setattr(repsmod, "is_intertwiner", no_intertwiner)
+    assert not is_isomorphism(s, s, singular)
+
+
 def test_is_isomorphism_needs_intertwiner_and_invertible(markov):
     s = simple_rep(markov, 1)
     ident = {v: Mat.identity(QQ, s.dims[v]) for v in markov.quiver.vertices}
