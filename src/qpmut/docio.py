@@ -115,8 +115,13 @@ def emit_qp(qp: QP) -> dict:
 
 
 def _emit_matrix(m: Mat, field: Field, strs: dict) -> list[list[str]]:
+    """Rows of the zero string, with the nonzeros written in."""
+    zero = _to_str(field, field.zero, strs)
+    out = [[zero] * m.cols for _ in range(m.rows)]
     get = strs.get  # no scalar prints as "", so a miss is the only falsy result
-    return [[get(x) or _to_str(field, x, strs) for x in row] for row in m.data]
+    for i, j, x in m.nonzeros():
+        out[i][j] = get(x) or _to_str(field, x, strs)
+    return out
 
 
 def emit_decrep(rep: DecRep) -> dict:
@@ -228,8 +233,11 @@ def _parse_matrix(rows: Any, aid: str, shape: tuple[int, int], field: Field,
     nz = []
     for row in rows:
         _require(isinstance(row, list) and len(row) == want_c, f"{where} has a wrong-length row")
+        cells = [(j, raw) for j, raw in enumerate(row) if raw != "0"]
+        if len(cells) < want_c:  # "0" is parsed once per document, like any scalar
+            _scalar(field, "0", where, values)
         r = {}
-        for j, raw in enumerate(row):
+        for j, raw in cells:
             # only a string may be looked up: True, 1 and 1.0 are one dict key
             x = get(raw) if type(raw) is str else None
             if x is None:

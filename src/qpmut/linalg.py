@@ -4,14 +4,16 @@ A matrix stores its rows as ``{col: value}`` dicts of their nonzeros, with an
 explicit shape, so rows and columns may be zero-sized and every operation
 costs the nonzeros it visits, not the cells.  No zero is stored, and a row
 dict is never changed once its matrix is built, so matrices share rows.  Only
-this module sees the dicts.  Elimination returns the reduced row echelon
-form, which is unique: every answer is read off one RREF, so every basis,
-retraction and quotient produced here is deterministic whatever the
-elimination order.  A kernel basis comes with its retraction: the basis is
-the identity at the free columns, so the identity's rows at those columns
-give the coordinates of any kernel vector.  The complement of a subspace is
-spanned by the standard basis vectors at the pivot columns of [basis | I]
-past the basis itself.
+this module sees the dicts; ``nonzeros()`` yields ``(i, j, x)`` for every
+nonzero to other modules.  Elimination keeps a column index, the set of rows
+with a nonzero in each column, so it too costs the nonzeros it touches.  It
+returns the reduced row echelon form, which is unique: every answer is read
+off one RREF, so every basis, retraction and quotient produced here is
+deterministic whatever the elimination order.  A kernel basis comes with its
+retraction: the basis is the identity at the free columns, so the identity's
+rows at those columns give the coordinates of any kernel vector.  The
+complement of a subspace is spanned by the standard basis vectors at the pivot
+columns of [basis | I] past the basis itself.
 """
 
 from __future__ import annotations
@@ -78,6 +80,13 @@ class Mat:
             out.append(tuple(row))
         return tuple(out)
 
+    def nonzeros(self):
+        """Yield ``(i, j, x)`` for each nonzero x at row i, column j, row by
+        row."""
+        for i, r in enumerate(self._nz):
+            for j, x in r.items():
+                yield i, j, x
+
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
@@ -124,7 +133,8 @@ class Mat:
     def scale(self, c) -> "Mat":
         if not c:
             return Mat.zero(self.field, self.rows, self.cols)
-        return Mat._of(self.field, [{j: c * x for j, x in r.items()} for r in self._nz], self.cols)
+        out = [r and {j: c * x for j, x in r.items()} for r in self._nz]  # empty rows are shared
+        return Mat._of(self.field, out, self.cols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         """Each left row's nonzeros pick the right rows whose nonzeros they
@@ -134,6 +144,9 @@ class Mat:
         right = other._nz
         out = []
         for row in self._nz:
+            if not row:
+                out.append(row)
+                continue
             acc: dict = {}
             for k, a in row.items():
                 for j, y in right[k].items():
@@ -165,36 +178,47 @@ class Mat:
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form and pivot column indices.
 
-        Each pivot step touches only the rows with a nonzero in the pivot
-        column, and in them only the pivot row's nonzero columns."""
-        rest = [dict(r) for r in self._nz if r]
-        done: list[dict] = []
-        pivots: list[int] = []
-        for col in range(self.cols):
-            if not rest:
-                break
-            hits = [i for i, r in enumerate(rest) if col in r]
-            if not hits:
+        A column index maps each column to the set of rows with a nonzero
+        there, kept up to date on fill-in and cancellation.  Each pivot step
+        touches only the rows in the pivot column's set, and in them only the
+        pivot row's nonzero columns: never rows x columns."""
+        one, rows = self.field.one, [dict(r) for r in self._nz]
+        where: dict[int, set[int]] = {}
+        for i, r in enumerate(rows):
+            for j in r:
+                where.setdefault(j, set()).add(i)
+        # fill-in lands only in columns where the pivot row is nonzero, so no
+        # column joins the index: its sorted keys are every candidate column
+        done: dict[int, int] = {}  # pivot row -> pivot column, in order
+        for col in sorted(where):
+            hits = where.pop(col)
+            cands = hits.difference(done)
+            if not cands:
                 continue
             # the sparsest candidate as pivot row creates the least fill-in
-            prow = rest.pop(min(hits, key=lambda i: len(rest[i])))
-            inv = self.field.inv(prow[col])
-            prow = {j: x * inv for j, x in prow.items()}
-            for r in done + rest:
-                f = r.get(col)
-                if f is None:
-                    continue
-                for j, y in prow.items():
+            p = min(cands, key=lambda i: (len(rows[i]), i))
+            hits.remove(p)
+            inv = self.field.inv(rows[p].pop(col))
+            tail = {j: x * inv for j, x in rows[p].items()}
+            rows[p] = {col: one, **tail}
+            done[p] = col
+            for i in hits:
+                r = rows[i]
+                f = r.pop(col)
+                for j, y in tail.items():
                     x = r.get(j)
-                    x = -f * y if x is None else x - f * y
+                    if x is None:
+                        r[j] = -f * y
+                        where[j].add(i)
+                        continue
+                    x -= f * y
                     if x:
                         r[j] = x
                     else:
                         del r[j]
-            done.append(prow)
-            pivots.append(col)
-        done += [{} for _ in range(self.rows - len(done))]
-        return Mat._of(self.field, done, self.cols), pivots
+                        where[j].remove(i)
+        out = [rows[p] for p in done] + [{} for _ in range(self.rows - len(done))]
+        return Mat._of(self.field, out, self.cols), list(done.values())
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -216,15 +216,15 @@ def check_beta_alpha(pm: PremutedRep) -> Report:
 def constructions_agree(rep: DecRep, k: int) -> Report:
     """Build all four premutations over one shared triangle and verify the
     explicit pairwise isomorphisms between them: identity away from k, and
-    F_to @ F_from^-1 at k, each F inverted at most once.  A pair whose F_from
-    is singular fails."""
+    F_to @ F_from^-1 at k, each F inverted at most once and the amalgam's,
+    the identity, never.  A pair whose F_from is singular fails."""
     t = build_triangle(rep, k)
     pms = {}
     for kind in CONSTRUCTIONS:
         pms[kind] = premutate_rep(
             rep, k, kind, require_valid=(kind == CONSTRUCTIONS[0]), triangle=t
         )
-    inverses: dict[str, Mat | None] = {}
+    inverses: dict[str, Mat | None] = {"amalgam": pms["amalgam"].amalgam_map}
     rpt = Report("constructions_agree")
     for kind1 in CONSTRUCTIONS:
         for kind2 in CONSTRUCTIONS:

@@ -63,29 +63,36 @@ class DecRep:
 
     def nilpotency_index(self) -> int:
         """Smallest d such that every path of length d acts as zero; raises
-        if the representation is not nilpotent."""
+        if the representation is not nilpotent.
+
+        The images of the paths of length d span a subspace at each vertex,
+        kept as the nonzero rows of an RREF, so the arrows act through their
+        transposes.  The filtration starts from the images of the arrows
+        (d = 1), each round applies every arrow to the last, and the index is
+        the first d whose spans are all zero.  The spans only shrink, so once
+        their total dimension fails to shrink it never will: not nilpotent."""
         if self._nilpotency_index is not None:
             return self._nilpotency_index
         q = self.qp.quiver
         fld = self.field
-        spans = {v: Mat.identity(fld, self.dims[v]) for v in q.vertices}
-        d = 0
-        while any(m.cols for m in spans.values()):
-            total = sum(m.cols for m in spans.values())
+        tr = {a.id: self.maps[a.id].T for a in q.arrows}
+        spans = None  # the paths of length 0 act as identities, never built
+        d, total = 0, self.total_dim()
+        while total:
             new: dict[int, list[Mat]] = {v: [] for v in q.vertices}
             for a in q.arrows:
-                src = spans[a.tail]
-                if src.cols:
-                    new[a.head].append(self.maps[a.id] @ src)
-            spans = {
-                v: hstack(fld, ms, rows=self.dims[v]).image_basis()
-                if ms
-                else Mat.zero(fld, self.dims[v], 0)
-                for v, ms in new.items()
-            }
+                img = tr[a.id] if spans is None else spans[a.tail] @ tr[a.id]
+                if img.rows:
+                    new[a.head].append(img)
+            spans = {}
+            for v, ms in new.items():
+                R, piv = vstack(fld, ms).rref() if ms else (Mat.zero(fld, 0, self.dims[v]), [])
+                spans[v] = R.take_rows(list(range(len(piv))))
             d += 1
-            if sum(m.cols for m in spans.values()) >= total and total > 0:
+            shrunk = sum(m.rows for m in spans.values())
+            if shrunk >= total:
                 raise InvariantError("representation is not nilpotent")
+            total = shrunk
         self._nilpotency_index = d
         return d
 

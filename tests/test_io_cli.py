@@ -551,3 +551,24 @@ def test_scalar_conversion_costs_distinct_values_not_cells(monkeypatch):
     doc["payload"]["matrices"][second][-1][-1] = "1/0"
     with pytest.raises(SchemaError, match=re.escape(f"matrix for {second!r}")):
         docio.parse(doc)
+
+
+def test_parse_skips_only_literal_zero_cells():
+    """Cells spelled "0" are skipped unread; any other spelling of zero is
+    still parsed, and a non-string zero is still an error naming its matrix."""
+    rep = docio.load_path(fixture("markov_rep.json"))
+    for k in (3, 1, 2):
+        rep = mutate_rep(rep, k)
+    doc = docio.emit_decrep(rep)
+    text = docio.dumps(doc)
+    aid, i, row = next((a, i, row) for a, rows in doc["payload"]["matrices"].items()
+                       for i, row in enumerate(rows) if row.count("0") >= 3)
+    zeros = [j for j, s in enumerate(row) if s == "0"]
+    for j, s in zip(zeros, ("-0", "0/3", "00")):
+        row[j] = s
+    assert docio.dumps(docio.emit_decrep(docio.parse(doc))) == text
+    for bad in (0, False, None):
+        bad_doc = json.loads(text)
+        bad_doc["payload"]["matrices"][aid][i][zeros[0]] = bad
+        with pytest.raises(SchemaError, match=re.escape(f"matrix for {aid!r}")):
+            docio.parse(bad_doc)

@@ -94,6 +94,55 @@ def test_rref_over_fp_matches_reference():
         assert ([[x.v for x in r] for r in R.data], pivots) == _gauss_jordan_mod(ints, cols, p)
 
 
+def _combined_rows(rng, rows, cols):
+    """A rows x cols int matrix whose rows are sums of small multiples of up
+    to three sparse base rows, so that elimination both fills in and cancels.
+    A row built from no base row is zero, and about a tenth of the columns
+    are never used."""
+    used = rng.sample(range(cols), cols - cols // 10)
+    base = [{j: rng.choice([-3, -2, -1, 1, 2, 3]) for j in rng.sample(used, min(len(used), rng.randint(1, 6)))}
+            for _ in range(rng.randint(1, max(1, rows)))] if used else []
+    out = []
+    for _ in range(rows):
+        r: dict = {}
+        for b in rng.sample(base, min(len(base), rng.choice([0, 1, 2, 2, 3]))):
+            c = rng.choice([-2, -1, 1, 2])
+            for j, y in b.items():
+                r[j] = r.get(j, 0) + c * y
+        out.append([r.get(j, 0) for j in range(cols)])
+    return out
+
+
+def _sympy_rref(ints, rows, cols):
+    """{(i, j): x} of the nonzeros of sympy's exact sparse RREF, and its pivots."""
+    from sympy.polys.matrices import DomainMatrix
+
+    nz = {i: {j: sympy.QQ(x) for j, x in enumerate(r) if x} for i, r in enumerate(ints) if any(r)}
+    R, pivots = DomainMatrix(nz, (rows, cols), sympy.QQ).rref()
+    return ({(i, j): Fraction(int(x.numerator), int(x.denominator))
+             for i, r in R.to_sdm().items() for j, x in r.items()}, list(pivots))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "Fp7"])
+def test_rref_column_index_survives_fill_in_and_cancellation(field):
+    rng = random.Random(13)
+    shapes = [(0, 0), (0, 7), (7, 0), (6, 6), (150, 200), (150, 1), (1, 200)]
+    shapes += [(rng.randint(1, 150), rng.randint(1, 200)) for _ in range(20)]
+    ranks = set()
+    for rows, cols in shapes:
+        ints = _combined_rows(rng, rows, cols)
+        m = Mat.from_int_rows(field, ints) if rows else Mat.zero(field, 0, cols)
+        R, pivots = m.rref()
+        assert (R.rows, R.cols) == (rows, cols)
+        if field == QQ:
+            assert ({(i, j): Fraction(x) for i, j, x in R.nonzeros()}, pivots) == _sympy_rref(ints, rows, cols)
+        else:
+            assert ([[x.v for x in r] for r in R.data], pivots) == _gauss_jordan_mod(ints, cols, 7)
+        ranks.add((len(pivots) < rows, len(pivots) < cols))
+    # rank-deficient in rows (so some rows cancel to zero) and in columns
+    assert (True, True) in ranks
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
 def test_scale_add_is_zero_keep_shapes_and_values_with_zero_entries(field):
     rows = [[0, 3, 0], [0, 0, 0], [5, 0, -1]]

@@ -152,6 +152,18 @@ def test_pushout_premutation_costs_one_elimination(markov, monkeypatch):
     assert len(calls) == 1
 
 
+def test_constructions_agree_costs_thirty_one_eliminations(monkeypatch):
+    # the triangle's 7, the first premutation's module check (3), the
+    # pushout's quotient package, the rank tests of the 6 isomorphisms (18)
+    # and 2 inversions: the amalgam's F is the identity and is not inverted
+    rep = docio.load_path("fixtures/markov_rep.json")
+    calls = []
+    rref = Mat.rref
+    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    assert constructions_agree(rep, MARKOV_K).ok
+    assert len(calls) == 31
+
+
 def test_annihilation_by_premuted_derivatives(markov):
     rng = random.Random(109)
     for _ in range(3):

@@ -81,6 +81,53 @@ def test_nilpotency_rejects_invertible_cycle():
     assert not check_module(rep).ok
 
 
+def _brute_nilpotency_index(rep):
+    """The least d at which every path of length d acts as zero, found by
+    enumerating the paths; None when no d <= total_dim works (then none
+    does, and the representation is not nilpotent)."""
+    q = rep.qp.quiver
+    paths = [((), v, v) for v in q.vertices]  # (word, tail, head)
+    for d in range(rep.total_dim() + 1):
+        if all(path_matrix(rep, w, t, h).is_zero() for w, t, h in paths):
+            return d
+        paths = [((a.id,) + w, t, a.head) for w, t, h in paths for a in q.arrows if a.tail == h]
+    return None
+
+
+def _random_maps(qp, rng, max_dim):
+    """Sparse random maps on random dimensions: many are not nilpotent."""
+    dims = {v: rng.randint(0, max_dim) for v in qp.quiver.vertices}
+    maps = {a.id: Mat.from_int_rows(QQ, [[rng.choice([-1, 0, 0, 0, 1]) for _ in range(dims[a.tail])]
+                                         for _ in range(dims[a.head])])
+            if dims[a.head] else Mat.zero(QQ, 0, dims[a.tail])
+            for a in qp.quiver.arrows}
+    return DecRep(qp, dims, maps, {v: 0 for v in qp.quiver.vertices})
+
+
+def test_nilpotency_index_matches_brute_force(markov):
+    rng = random.Random(41)
+    reps = [random_valid_module(markov, rng, max_dim=4, max_power=5) for _ in range(15)]
+    reps += [_random_maps(markov, rng, 2) for _ in range(40)]
+    while len(reps) < 85:
+        qp = random_qp(rng, max_vertices=4, max_arrows=6, max_terms=4, max_len=4, order=8)
+        reps.append(random_valid_module(qp, rng, max_dim=3, max_power=4))
+        reps.append(_random_maps(qp, rng, 1))
+    seen = set()
+    for rep in reps:
+        want = _brute_nilpotency_index(rep)
+        if want is None:
+            assert not rep.is_nilpotent()
+        else:
+            assert rep.nilpotency_index() == want
+        seen.add(want)
+    assert None in seen and {0, 1, 2, 3, 4} <= seen
+
+
+def test_nilpotency_index_edge_cases(markov):
+    assert DecRep(markov, {}, {}, {}).nilpotency_index() == 0
+    assert DecRep(markov, {1: 2, 2: 0, 3: 3}, {}, {}).nilpotency_index() == 1
+
+
 def test_markov_module_solved_by_linear_algebra(markov):
     """Build a module by solving the derivative relations linearly:
     random maps into the mutation vertex, outgoing maps from the left
