@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import NotCyclicError
 from .jets import JetPoly, JetSpace
-from .quiver import Path, canonical_rotation
+from .quiver import Path, Quiver, canonical_rotation, lazy_path
 
 
 class Potential:
@@ -58,76 +58,51 @@ class Potential:
 def cyclic_normalize(u: JetPoly) -> Potential:
     """Rotate every cycle to canonical form and merge coefficients."""
     q = u.space.quiver
-    out: dict[Path, object] = {}
-    for p, c in u.terms.items():
+    for p in u.terms:
         if not p.is_cycle():
             raise NotCyclicError(f"term {p!r} is not a cycle")
-        canon = canonical_rotation(q, p)
-        s = out.get(canon)
-        s = c if s is None else s + c
-        if s:
-            out[canon] = s
-        else:
-            out.pop(canon, None)
-    return Potential(JetPoly(u.space, out))
+    return Potential(
+        u.space.sum_terms((canonical_rotation(q, p), c) for p, c in u.terms.items())
+    )
 
 
 def cyclically_equivalent(u: JetPoly, v: JetPoly) -> bool:
     return cyclic_normalize(u - v).is_zero()
 
 
+def _word_path(q: Quiver, word: tuple[str, ...]) -> Path:
+    return Path(word, q.tail(word[-1]), q.head(word[0]))
+
+
 def cyclic_derivative(s: Potential, aid: str) -> JetPoly:
     """d/d(aid): for each occurrence of the arrow in a cycle, the rotation of
     the cycle starting right after that occurrence, with the occurrence
-    removed."""
-    space = s.space
-    q = space.quiver
-    acc: dict[Path, object] = {}
-    for p, coeff in s.jet.terms.items():
-        w = p.arrows
-        d = len(w)
-        for i in range(d):
-            if w[i] != aid:
-                continue
-            rest = w[i + 1 :] + w[:i]
-            if rest:
-                piece = Path(rest, q.tail(rest[-1]), q.head(rest[0]))
-            else:
-                # removed the only arrow of a 1-cycle; impossible (loop-free)
-                continue
-            sacc = acc.get(piece)
-            sacc = coeff if sacc is None else sacc + coeff
-            if sacc:
-                acc[piece] = sacc
-            else:
-                acc.pop(piece, None)
-    return JetPoly(space, acc)
+    removed.  The quiver has no loops, so what remains is never empty."""
+    q = s.space.quiver
+    return s.space.sum_terms(
+        (_word_path(q, p.arrows[i + 1 :] + p.arrows[:i]), c)
+        for p, c in s.jet.terms.items()
+        for i, x in enumerate(p.arrows)
+        if x == aid
+    )
 
 
 def second_derivative(s: Potential, bid: str, aid: str) -> JetPoly:
     """d/d(b a): for each cyclic occurrence of the length-2 factor ``b a``
-    (``a`` acting first), the complementary path."""
-    space = s.space
-    q = space.quiver
-    acc: dict[Path, object] = {}
-    for p, coeff in s.jet.terms.items():
-        w = p.arrows
-        d = len(w)
-        for i in range(d):
-            if w[i] != bid or w[(i + 1) % d] != aid:
-                continue
-            rest = tuple(w[(i + 2 + t) % d] for t in range(d - 2))
-            if rest:
-                piece = Path(rest, q.tail(rest[-1]), q.head(rest[0]))
-            else:
-                piece = Path((), q.tail(aid), q.tail(aid))
-            sacc = acc.get(piece)
-            sacc = coeff if sacc is None else sacc + coeff
-            if sacc:
-                acc[piece] = sacc
-            else:
-                acc.pop(piece, None)
-    return JetPoly(space, acc)
+    (``a`` acting first), the complementary path; in a 2-cycle that is the
+    lazy path at the tail of ``a``."""
+    q = s.space.quiver
+
+    def complement(w: tuple[str, ...], i: int) -> Path:
+        rest = (w + w)[i + 2 : i + len(w)]
+        return _word_path(q, rest) if rest else lazy_path(q.tail(aid))
+
+    return s.space.sum_terms(
+        (complement(p.arrows, i), c)
+        for p, c in s.jet.terms.items()
+        for i, x in enumerate(p.arrows)
+        if x == bid and p.arrows[(i + 1) % len(p.arrows)] == aid
+    )
 
 
 def reverse_jet(
@@ -140,7 +115,7 @@ def reverse_jet(
     acc: dict[Path, object] = {}
     for p, c in u.terms.items():
         word = tuple(ren.get(x, x) for x in reversed(p.arrows))
-        acc[Path(word, q.tail(word[-1]), q.head(word[0]))] = c
+        acc[_word_path(q, word)] = c
     return JetPoly(target, acc)
 
 

@@ -2,12 +2,16 @@
 
 A :class:`JetPoly` is a finite linear combination of paths of length at most
 N, i.e. an element of the complete path algebra modulo m^(N+1) where m is the
-arrow ideal.  All identities in the engine are exact modulo m^(N+1).
+arrow ideal.  All identities in the engine are exact modulo m^(N+1).  A jet
+never stores a zero coefficient: every sum of terms goes through
+:meth:`JetSpace.sum_terms`, which adds up equal paths and drops the zero sums
+once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ContextError, TruncationTooSmall
 from .fields import Field
@@ -45,6 +49,17 @@ class JetSpace:
             return self.zero()
         return JetPoly(self, {p: self.field.one})
 
+    def sum_terms(self, pairs) -> "JetPoly":
+        """The jet sum of c.p over the ``(p, c)`` pairs: coefficients of equal
+        paths are added up, then the zero sums are dropped, once."""
+        acc: dict[Path, object] = {}
+        for p, c in pairs:
+            # a first coefficient is stored as it is: 0 + Fraction would cost
+            # a full Fraction addition for every new path
+            s = acc.get(p)
+            acc[p] = c if s is None else s + c
+        return JetPoly(self, {p: c for p, c in acc.items() if c})
+
     def from_terms(self, terms: dict[Path, object]) -> "JetPoly":
         kept = {
             p: c for p, c in terms.items() if c and p.length <= self.order
@@ -80,15 +95,7 @@ class JetPoly:
 
     def __add__(self, other: "JetPoly") -> "JetPoly":
         self._check(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = out.get(p)
-            s = c if s is None else s + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-        return JetPoly(self.space, out)
+        return self.space.sum_terms(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "JetPoly":
         return JetPoly(self.space, {p: -c for p, c in self.terms.items()})
@@ -105,49 +112,18 @@ class JetPoly:
         """Bilinear extension of path concatenation, truncated at N."""
         self._check(other)
         n = self.space.order
-        by_head: dict[int, list[tuple[Path, int, object]]] = {}
-        for q, cq in other.terms.items():
-            by_head.setdefault(q.head, []).append((q, len(q.arrows), cq))
-        for bucket in by_head.values():
-            bucket.sort(key=lambda t: t[1])
-        out: dict[Path, object] = {}
-        for p, cp in self.terms.items():
-            bucket = by_head.get(p.tail)
-            if bucket is None:
-                continue
-            budget = n - len(p.arrows)
-            if budget < 0:
-                continue
-            for q, qlen, cq in bucket:
-                if qlen > budget:
-                    break
-                if not p.arrows:
-                    r = q
-                elif not q.arrows:
-                    r = p
-                else:
-                    r = Path(p.arrows + q.arrows, q.tail, p.head)
-                c = cp * cq
-                s = out.get(r)
-                s = c if s is None else s + c
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return JetPoly(self.space, out)
+        return self.space.sum_terms(
+            (Path(p.arrows + q.arrows, q.tail, p.head), cp * cq)
+            for p, cp in self.terms.items()
+            for q, cq in other.terms.items()
+            if q.head == p.tail and len(p.arrows) + len(q.arrows) <= n
+        )
 
     def component(self, head: int, tail: int) -> "JetPoly":
         """e_head . u . e_tail: the (tail, head)-bigraded part."""
         return JetPoly(
             self.space,
             {p: c for p, c in self.terms.items() if p.head == head and p.tail == tail},
-        )
-
-    def off_vertex(self, k: int) -> "JetPoly":
-        """e_khat . u . e_khat."""
-        return JetPoly(
-            self.space,
-            {p: c for p, c in self.terms.items() if p.head != k and p.tail != k},
         )
 
     def length_part(self, d: int) -> "JetPoly":

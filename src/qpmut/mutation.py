@@ -27,13 +27,12 @@ from .errors import (
 )
 from .linalg import Mat, block_diag, block_matrix, coords_in, hstack, subspace_package, vstack
 from .qp import QP, composite_name, premutate_qp, require_mutable, split_reduce, star_name
-from .reps import (  # is_intertwiner is re-exported for callers of this module
+from .reps import (
     DecRep,
     TrianglePack,
     build_triangle,
     check_module,
     component_action,
-    is_intertwiner,
     is_isomorphism,
 )
 from .subst import ArrowSubstitution

@@ -36,6 +36,7 @@ from .subst import (
     compose_substitutions,
     identity_substitution,
     invert_substitution,
+    linear_images,
     substitution_from_images,
 )
 
@@ -132,7 +133,8 @@ def bracket_substitute(s: Potential, k: int, target: JetSpace) -> Potential:
     """[S]: replace each passage through k (a consecutive hook pair) by the
     corresponding composite arrow; result is supported away from k."""
     src_q = s.space.quiver
-    acc: dict[Path, object] = {}
+    tq = target.quiver
+    terms = []
     for p, c in s.jet.terms.items():
         if all(src_q.tail(a) != k and src_q.head(a) != k for a in p.arrows):
             word = p.arrows
@@ -149,10 +151,8 @@ def bracket_substitute(s: Potential, k: int, target: JetSpace) -> Potential:
                     word_l.append(w[i])
                     i += 1
             word = tuple(word_l)
-        tq = target.quiver
-        new = Path(word, tq.tail(word[-1]), tq.head(word[0]))
-        acc[new] = acc.get(new, target.field.zero) + c
-    return cyclic_normalize(JetPoly(target, {p: c for p, c in acc.items() if c}))
+        terms.append((Path(word, tq.tail(word[-1]), tq.head(word[0])), c))
+    return cyclic_normalize(target.sum_terms(terms))
 
 
 def premutate_qp(qp: QP, k: int) -> QP:
@@ -184,8 +184,9 @@ def _degree2_pairing(qp: QP):
     parallel-arrow classes; returns {(i, j): (A_ids, B_ids, Mat)} with i < j."""
     q = qp.quiver
     fld = qp.field
+    deg2 = qp.potential.degree2_part().terms()
     classes: dict[tuple[int, int], tuple[list[str], list[str]]] = {}
-    for p, _ in qp.potential.degree2_part().terms().items():
+    for p in deg2:
         x, y = p.arrows
         i, j = sorted((q.tail(x), q.head(x)))
         if (i, j) not in classes:
@@ -193,7 +194,7 @@ def _degree2_pairing(qp: QP):
             b_ids = sorted(a.id for a in q.arrows if (a.tail, a.head) == (j, i))
             classes[(i, j)] = (a_ids, b_ids)
     cells = {key: [[fld.zero] * len(b_ids) for _ in a_ids] for key, (a_ids, b_ids) in classes.items()}
-    for p, c in qp.potential.degree2_part().terms().items():
+    for p, c in deg2.items():
         x, y = p.arrows
         i, j = sorted((q.tail(x), q.head(x)))
         a_ids, b_ids = classes[(i, j)]
@@ -242,30 +243,14 @@ def _linear_normalization(qp: QP):
     """Step 3 of the reduction: a degree-preserving substitution making the
     degree-2 part a sum of distinct opposite pairs; returns (subst, pairs)."""
     space = qp.space
-    fld = qp.field
     images: dict[str, JetPoly] = {}
     pairs: list[tuple[str, str]] = []
-    nontrivial_sub = False
     for (_, _), (a_ids, b_ids, c) in sorted(_degree2_pairing(qp).items()):
         x, y, pivots = _pivot_normal_form(c)
         pairs.extend((a_ids[i], b_ids[j]) for i, j in pivots)
-        if x != Mat.identity(fld, len(a_ids)) or y != Mat.identity(fld, len(b_ids)):
-            nontrivial_sub = True
-            # psi(u_i) = sum_i' X[i'][i] u_i',  psi(v_j) = sum_j' Y[j][j'] v_j'
-            for idx, aid in enumerate(a_ids):
-                img = space.zero()
-                for idx2, aid2 in enumerate(a_ids):
-                    if x.entry(idx2, idx):
-                        img = img + space.arrow(aid2).scale(x.entry(idx2, idx))
-                images[aid] = img
-            for jdx, bid in enumerate(b_ids):
-                img = space.zero()
-                for jdx2, bid2 in enumerate(b_ids):
-                    if y.entry(jdx, jdx2):
-                        img = img + space.arrow(bid2).scale(y.entry(jdx, jdx2))
-                images[bid] = img
-    sub = substitution_from_images(space, images) if nontrivial_sub else identity_substitution(space)
-    return sub, pairs
+        # psi(u_i) = sum_i' X[i'][i] u_i',  psi(v_j) = sum_j' Y[j][j'] v_j'
+        images |= linear_images(space, a_ids, x) | linear_images(space, b_ids, y.T)
+    return substitution_from_images(space, images), pairs
 
 
 def split_reduce(qp: QP) -> SplitResult:
@@ -368,13 +353,11 @@ def split_reduce(qp: QP) -> SplitResult:
 def _retype_potential(s: Potential, target: JetSpace) -> Potential:
     """Move a potential onto a subquiver's jet space (arrows must all exist)."""
     tq = target.quiver
-    acc: dict[Path, object] = {}
-    for p, c in s.jet.terms.items():
+    for p in s.jet.terms:
         for a in p.arrows:
             if not tq.has_arrow(a):
                 raise InvariantError(f"potential uses arrow {a!r} outside the subquiver")
-        acc[Path(p.arrows, p.tail, p.head)] = c
-    return Potential(JetPoly(target, acc))
+    return Potential(JetPoly(target, dict(s.jet.terms)))
 
 
 def _is_trivial_qp(qp: QP) -> bool:

@@ -120,9 +120,7 @@ def component_action(rep: DecRep, u: JetPoly, head: int, tail: int) -> Mat:
     """Matrix of e_head . u . e_tail acting M_tail -> M_head."""
     fld = rep.field
     out = Mat.zero(fld, rep.dims[head], rep.dims[tail])
-    for p, c in u.terms.items():
-        if p.tail != tail or p.head != head:
-            continue
+    for p, c in u.component(head, tail).terms.items():
         out = out + path_matrix(rep, p.arrows, tail, head).scale(c)
     return out
 

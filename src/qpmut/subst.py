@@ -1,7 +1,10 @@
 """Arrow substitutions: vertex-fixing ring morphisms between jet algebras.
 
 A substitution sends every arrow of its source quiver to a parallel jet over
-its target quiver and extends multiplicatively.  It is invertible modulo
+its target quiver and extends multiplicatively: the image of a path
+a1 a2 ... ad is the product of the images of its arrows, taken left to right,
+a lazy path maps to itself, and the images of all terms are summed at once,
+so no zero coefficient is stored.  It is invertible modulo
 m^(N+1) exactly when its linear part is, blockwise over parallel-arrow
 classes; the inverse is found by fixed-point iteration, which terminates
 because every correction gains degree.
@@ -10,6 +13,8 @@ because every correction gains degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .errors import ContextError, InvariantError, NotInvertibleError
 from .fields import Field
@@ -48,7 +53,10 @@ class ArrowSubstitution:
         return self.target_space.field
 
     def is_identity(self) -> bool:
-        return self.source == self.target_space.quiver and not _touched_arrows(self)
+        space = self.target_space
+        return self.source == space.quiver and all(
+            self.images[a.id] == space.arrow(a.id) for a in self.source.arrows
+        )
 
 
 def identity_substitution(space: JetSpace) -> ArrowSubstitution:
@@ -63,20 +71,6 @@ def substitution_from_images(space: JetSpace, images: dict[str, JetPoly]) -> Arr
     return ArrowSubstitution(space.quiver, space, full)
 
 
-def _touched_arrows(phi: ArrowSubstitution) -> set[str]:
-    """Arrows whose image is not literally themselves."""
-    touched = set()
-    same_quiver = phi.source == phi.target_space.quiver
-    for a in phi.source.arrows:
-        img = phi.images[a.id]
-        if same_quiver and len(img.terms) == 1:
-            ((p, c),) = img.terms.items()
-            if p.arrows == (a.id,) and c == phi.field.one:
-                continue
-        touched.add(a.id)
-    return touched
-
-
 def apply_substitution(phi: ArrowSubstitution, u: JetPoly) -> JetPoly:
     """Multiplicative-linear extension of the arrow images, truncated at N."""
     if u.space.quiver != phi.source:
@@ -84,46 +78,25 @@ def apply_substitution(phi: ArrowSubstitution, u: JetPoly) -> JetPoly:
     if u.space.order != phi.order or u.space.field != phi.field:
         raise ContextError("jet and substitution disagree on order or field")
     space = phi.target_space
-    touched = _touched_arrows(phi)
-    q = phi.source
-    passthrough: dict[Path, object] = {}
-    out = space.zero()
-    for p, c in u.terms.items():
-        if not (set(p.arrows) & touched):
-            # identity on every arrow of this term: copy it over verbatim
-            passthrough[Path(p.arrows, p.tail, p.head)] = (
-                passthrough.get(Path(p.arrows, p.tail, p.head), space.field.zero) + c
-            )
-            continue
-        # split the word into untouched runs (single paths) and images
-        factors: list[JetPoly] = []
-        run: list[str] = []
 
-        def flush_run():
-            if run:
-                word = tuple(run)
-                factors.append(
-                    JetPoly(
-                        space,
-                        {Path(word, q.tail(word[-1]), q.head(word[0])): space.field.one},
-                    )
-                )
-                run.clear()
+    def image(p: Path) -> JetPoly:
+        if not p.arrows:
+            return JetPoly(space, {p: space.field.one})
+        return reduce(mul, (phi.images[aid] for aid in p.arrows))
 
-        for aid in p.arrows:
-            if aid in touched:
-                flush_run()
-                factors.append(phi.images[aid])
-            else:
-                run.append(aid)
-        flush_run()
-        acc = factors[0]
-        for f in factors[1:]:
-            if acc.is_zero():
-                break
-            acc = acc * f
-        out = out + acc.scale(c)
-    return out + JetPoly(space, {p: c for p, c in passthrough.items() if c})
+    return space.sum_terms(
+        (r, c * cr) for p, c in u.terms.items() for r, cr in image(p).terms.items()
+    )
+
+
+def linear_images(space: JetSpace, ids: list[str], m: Mat) -> dict[str, JetPoly]:
+    """The images ``ids[j] -> sum_i m[i][j] ids[i]`` of a linear substitution
+    on the span of the parallel arrows ``ids``."""
+    terms: dict[str, dict[Path, object]] = {aid: {} for aid in ids}
+    for j, i, x in m.T.nonzeros():
+        a = space.quiver.arrow(ids[i])
+        terms[ids[j]][Path((a.id,), a.tail, a.head)] = x
+    return {aid: JetPoly(space, t) for aid, t in terms.items()}
 
 
 def compose_substitutions(
@@ -183,11 +156,7 @@ def invert_substitution(phi: ArrowSubstitution) -> ArrowSubstitution:
             inv = Mat(field, mat).inverse()
         except NotInvertibleError:
             raise NotInvertibleError(f"singular linear part on class {key}") from None
-        for j, aid in enumerate(ids):
-            img = space.zero()
-            for i, bid in enumerate(ids):
-                img = img + space.arrow(bid).scale(inv.entry(i, j))
-            lin_inv_images[aid] = img
+        lin_inv_images |= linear_images(space, ids, inv)
     lin_inv = substitution_from_images(space, lin_inv_images)
 
     # phi1 = lin_inv o phi is unitriangular: a + (degree >= 2)

@@ -288,7 +288,7 @@ def test_criterion_8_iso_preservation():
         reduced, phi, _ = mutate_qp(m.qp, k)
         red_m = pullback_reduction(pm_m.rep, phi, reduced)
         red_n = pullback_reduction(pm_n.rep, phi, reduced)
-        from qpmut.mutation import is_intertwiner
+        from qpmut.reps import is_intertwiner
 
         assert is_intertwiner(red_m, red_n, f)
         assert all(f[v].is_invertible() for v in m.qp.quiver.vertices)

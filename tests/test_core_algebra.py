@@ -7,17 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import markov_qp, markov_quiver
 from qpmut import (
+    GF,
     CompositionError,
     JetSpace,
     NotCyclicError,
     Potential,
     QQ,
+    apply_substitution,
     compose_paths,
     cyclic_derivative,
     cyclic_normalize,
     lazy_path,
     path_from_arrows,
     second_derivative,
+    substitution_from_images,
 )
 from qpmut.quiver import Path, rotations
 
@@ -85,9 +88,6 @@ def test_bigraded_extraction():
     u = s.path(("b1", "a1")) + s.arrow("c2") + s.idempotent(1) + s.arrow("a1")
     comp = u.component(2, 1)
     assert comp == s.path(("b1", "a1"))
-    # endpoints at vertex 3 are cut; the 1 -> 2 path survives
-    off = u.off_vertex(3)
-    assert off == s.path(("b1", "a1")) + s.arrow("c2") + s.idempotent(1)
 
 
 def test_cyclic_normalize_merges_rotations():
@@ -286,3 +286,86 @@ def test_derivative_kills_rotation_differences(jet, aid):
             assert cyclic_derivative(pot_terms, aid).is_zero() or not pot_terms.is_zero()
             # rotation differences normalize to zero, so the derivative is zero
             assert pot_terms.is_zero()
+
+
+# -- no zero coefficient is ever stored --------------------------------------
+
+_ARROWS = ("a1", "a2", "b1", "b2", "c1", "c2")
+_WORDS = (
+    1, 2, 3,  # lazy paths at these vertices
+    ("a1",), ("a2",), ("b1",), ("c1",),
+    ("b1", "a1"), ("b1", "a2"), ("b2", "a1"), ("c1", "b1"), ("c1", "b1", "a1"),
+)
+# rotations of one cycle, cycles that repeat a shorter one (their derivatives
+# double up, which is zero over GF(2)), and a 2-periodic mixed cycle
+_CYCLES = (
+    ("c1", "b1", "a1"), ("b1", "a1", "c1"), ("a1", "c1", "b1"), ("c2", "b2", "a2"),
+    ("c1", "b1", "a1", "c1", "b1", "a1"), ("c1", "b2", "a1", "c1", "b2", "a1"),
+    ("c1", "b1", "a1", "c2", "b2", "a2"), ("c2", "b2", "a2", "c1", "b1", "a1"),
+)
+
+
+def _stores_no_zero(jet) -> bool:
+    return all(c for c in jet.terms.values())
+
+
+@st.composite
+def _field_jets(draw):
+    """A field, a jet space over it, and a draw function for jets whose terms
+    are picked from a few short words, so sums and products often cancel."""
+    field = draw(st.sampled_from((QQ, GF(2), GF(3))))
+    space = JetSpace(markov_quiver(), 6, field)
+
+    def jet(words):
+        out = space.zero()
+        for w, c in draw(st.lists(st.tuples(st.sampled_from(words), _small_coeff), max_size=5)):
+            term = space.idempotent(w) if isinstance(w, int) else space.path(w)
+            out = out + term.scale(field.of(c))
+        return out
+
+    return space, jet
+
+
+@given(_field_jets(), _small_coeff)
+@settings(max_examples=80, deadline=None)
+def test_no_operation_stores_a_zero_coefficient(drawn, lam):
+    space, jet = drawn
+    field = space.field
+    u, v = jet(_WORDS), jet(_WORDS)
+    assert (u + (-u)).terms == {} and (u - u).terms == {}
+    results = [u + v, u - v, v - u, u * v, v * u, (u + v) * (u - v), u.scale(field.of(lam))]
+    pot = cyclic_normalize(jet(_CYCLES))
+    results.append(pot.jet)
+    results.extend(cyclic_derivative(pot, a) for a in _ARROWS)
+    results.extend(second_derivative(pot, b, a) for b in _ARROWS for a in _ARROWS)
+    # every arrow goes to a combination of its parallel arrows, so images of
+    # different terms can cancel
+    coeffs = iter(field.of(c) for c in [lam, -1, 1, 1, -lam, 0])
+    images = {
+        "a1": space.arrow("a1").scale(next(coeffs)) + space.arrow("a2").scale(next(coeffs)),
+        "a2": space.arrow("a1").scale(next(coeffs)) + space.arrow("a2").scale(next(coeffs)),
+        "b1": space.arrow("b1") + space.arrow("b2").scale(next(coeffs)),
+        "b2": space.arrow("b2").scale(next(coeffs)),
+    }
+    results.append(apply_substitution(substitution_from_images(space, images), u))
+    assert all(_stores_no_zero(r) for r in results)
+
+
+def test_product_terms_cancel_across_pairs():
+    # b1 . a1 and e_2 . (b1 a1) are the same path from different pairs
+    s = _space()
+    u = s.arrow("b1") + s.idempotent(2)
+    v = s.arrow("a1") - s.path(("b1", "a1"))
+    assert (u * v).terms == {}
+    assert (u * (v + s.arrow("a2"))).terms == s.path(("b1", "a2")).terms
+
+
+def test_cyclic_derivative_of_a_doubled_cycle_vanishes_in_characteristic_two():
+    for field, expected in ((QQ, 2), (GF(2), 0)):
+        s = JetSpace(markov_quiver(), 6, field)
+        pot = cyclic_normalize(s.path(("c1", "b1", "a1", "c1", "b1", "a1")))
+        d = cyclic_derivative(pot, "a1")
+        assert d == s.path(("c1", "b1", "a1", "c1", "b1")).scale(field.of(expected))
+        assert second_derivative(pot, "b1", "a1") == (
+            s.path(("c1", "b1", "a1", "c1")).scale(field.of(expected))
+        )

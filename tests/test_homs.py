@@ -50,7 +50,7 @@ def test_base_change_is_yes(markov):
         m = random_valid_module(markov, rng, max_dim=4)
         n, g = base_change(m, rng)
         # the conjugating map itself is a planted certificate
-        from qpmut.mutation import is_intertwiner
+        from qpmut.reps import is_intertwiner
         assert is_intertwiner(m, n, g)
         assert all(g[v].is_invertible() for v in markov.quiver.vertices)
         res = is_isomorphic(m, n, seed=1)

@@ -292,7 +292,7 @@ def test_transport_iso_random_base_change(markov):
         reduced, phi, _ = mutate_qp(markov, MARKOV_K)
         red_m = pullback_reduction(pm_m.rep, phi, reduced)
         red_n = pullback_reduction(pm_n.rep, phi, reduced)
-        from qpmut.mutation import is_intertwiner
+        from qpmut.reps import is_intertwiner
 
         assert is_intertwiner(red_m, red_n, f)
 

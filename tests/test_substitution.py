@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import markov_quiver
 from qpmut import (
+    Arrow,
+    ArrowSubstitution,
     JetSpace,
     NotInvertibleError,
     QQ,
+    Quiver,
     apply_substitution,
     compose_substitutions,
     identity_substitution,
@@ -72,6 +75,62 @@ def test_substitution_is_ring_morphism():
         u = s.idempotent(2) if w1 == () else s.path(w1)
         v = s.idempotent(2) if w2 == () else s.path(w2)
         assert apply_substitution(phi, u * v) == apply_substitution(phi, u) * apply_substitution(phi, v)
+
+
+def test_lazy_terms_map_to_themselves():
+    s = JetSpace(markov_quiver(), 5, QQ)
+    phi = substitution_from_images(s, {"a1": s.arrow("a1") + s.arrow("a2")})
+    u = s.idempotent(1) + s.idempotent(3).scale(QQ.of(3)) + s.path(("b1", "a1"))
+    assert apply_substitution(phi, u) == (
+        s.idempotent(1) + s.idempotent(3).scale(QQ.of(3))
+        + s.path(("b1", "a1")) + s.path(("b1", "a2"))
+    )
+    # into another quiver on the same vertices, a lazy path is still itself
+    q = markov_quiver()
+    t = JetSpace(Quiver(q.vertices, q.arrows + (Arrow("d", 1, 3),)), 5, QQ)
+    into = ArrowSubstitution(q, t, {a.id: t.arrow(a.id) for a in q.arrows})
+    assert apply_substitution(into, s.idempotent(2)) == t.idempotent(2)
+
+
+def test_images_of_different_terms_cancel():
+    s = JetSpace(markov_quiver(), 5, QQ)
+    phi = substitution_from_images(s, {"a1": s.arrow("a2")})
+    u = s.path(("b1", "a1")) - s.path(("b1", "a2"))
+    assert apply_substitution(phi, u).terms == {}
+    out = apply_substitution(phi, u + s.arrow("c1"))
+    assert out.terms == s.arrow("c1").terms
+
+
+def test_products_of_images_are_kept_up_to_length_n_exactly():
+    # A = a2 c1 b1 a2 is parallel to a1 and B = b1 a1 c1 b1 to b1, both of
+    # length 4; the image of b1 a1 has terms of lengths 2, 5, 5 and 8
+    def image(order):
+        s = JetSpace(markov_quiver(), order, QQ)
+        big_a = s.path(("a2", "c1", "b1", "a2"))
+        big_b = s.path(("b1", "a1", "c1", "b1"))
+        phi = substitution_from_images(
+            s, {"a1": s.arrow("a1") + big_a, "b1": s.arrow("b1") + big_b}
+        )
+        return s, apply_substitution(phi, s.path(("b1", "a1")))
+
+    s, out = image(8)
+    assert sorted(p.length for p in out.terms) == [2, 5, 5, 8]
+    assert out.length_part(8) == s.path(("b1", "a1", "c1", "b1", "a2", "c1", "b1", "a2"))
+    _, out = image(7)
+    assert sorted(p.length for p in out.terms) == [2, 5, 5]
+    _, out = image(4)
+    assert sorted(p.length for p in out.terms) == [2]
+
+
+def test_is_identity_compares_every_image_with_its_arrow():
+    s = JetSpace(markov_quiver(), 5, QQ)
+    assert identity_substitution(s).is_identity()
+    assert substitution_from_images(s, {"a1": s.path(("a1",))}).is_identity()
+    assert not substitution_from_images(s, {"a1": s.arrow("a1").scale(QQ.of(2))}).is_identity()
+    # the same arrow images, but into a quiver with one more arrow
+    q = markov_quiver()
+    t = JetSpace(Quiver(q.vertices, q.arrows + (Arrow("d", 1, 3),)), 5, QQ)
+    assert not ArrowSubstitution(q, t, {a.id: t.arrow(a.id) for a in q.arrows}).is_identity()
 
 
 def test_invert_identity():
