@@ -44,27 +44,20 @@ def hom_space(m: DecRep, n: DecRep) -> HomSpace:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
 
-    zero = fld.zero
+    # row (p, q) of arrow a: (g_h @ a_M)[p][q] - (a_N @ g_t)[p][q] = 0.  The
+    # quiver has no loops, so the two sums never share an unknown.
     rows: list[dict] = []
     for a in m.qp.quiver.arrows:
-        am, an = m.maps[a.id].data, n.maps[a.id].data
         h, t = a.head, a.tail
-        for p in range(n.dims[h]):
-            for q in range(m.dims[t]):
-                row: dict = {}
-                # (g_h @ am)[p][q] = sum_r g_h[p][r] am[r][q]
-                for r in range(m.dims[h]):
-                    coeff = am[r][q]
-                    if coeff:
-                        k = offsets[h] + p * m.dims[h] + r
-                        row[k] = row.get(k, zero) + coeff
-                # -(an @ g_t)[p][q] = -sum_s an[p][s] g_t[s][q]
-                for s in range(n.dims[t]):
-                    coeff = an[p][s]
-                    if coeff:
-                        k = offsets[t] + s * m.dims[t] + q
-                        row[k] = row.get(k, zero) - coeff
-                rows.append(row)
+        mh, mt = m.dims[h], m.dims[t]
+        block = [{} for _ in range(n.dims[h] * mt)]
+        for r, q, x in m.maps[a.id].nonzeros():
+            for p in range(n.dims[h]):
+                block[p * mt + q][offsets[h] + p * mh + r] = x
+        for p, s, x in n.maps[a.id].nonzeros():
+            for q in range(mt):
+                block[p * mt + q][offsets[t] + s * mt + q] = -x
+        rows.extend(block)
 
     kernel = Mat.from_rows(fld, rows, total).kernel_basis()
     basis = []

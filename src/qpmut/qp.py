@@ -1,13 +1,15 @@
 """Quivers with potential: premutation, reduction (splitting) and mutation.
 
 The splitting algorithm normalizes the degree-2 part of the potential into
-distinct opposite pairs by exact Gaussian elimination on the pairing matrix.
-It then builds the reduced part and the splitting substitution together,
-degree by degree: at the least degree of the discrepancy between the
+distinct opposite pairs by exact Gaussian elimination on the pairing matrix;
+the elimination records the inverse L^-1 of this linear change of arrows L
+as it runs.  It then builds the reduced part and the splitting substitution
+together, degree by degree: at the least degree of the discrepancy between the
 normalized potential and the splitting applied to trivial + reduced part,
 each cycle that touches a trivial arrow is absorbed into a correction of
 that arrow's partner, and every other cycle joins the reduced part.  Each
-round clears one degree, so at most N rounds run.
+round clears one degree, so at most N rounds run.  The splitting is
+phi = L^-1 o chi, where chi is the correction built in those rounds.
 The output is never trusted: a SplitResult carries a certificate verifying
 all of its defining properties, including that the splitting carries
 reduced + trivial part back to the input potential up to cyclic equivalence
@@ -35,7 +37,6 @@ from .subst import (
     apply_substitution,
     compose_substitutions,
     identity_substitution,
-    invert_substitution,
     linear_images,
     substitution_from_images,
 )
@@ -207,50 +208,67 @@ def _degree2_pairing(qp: QP):
 
 def _pivot_normal_form(c: Mat):
     """Invertible X, Y with X @ c @ Y having a single 1 at each pivot position
-    and zeros elsewhere; pivots are chosen row-major, keeping their indices.
+    and zeros elsewhere, together with X^-1 and Y^-1; pivots are chosen
+    row-major, keeping their indices.
 
     Once row i is processed its pivot column is zero in every other row, so
     the next pivot is the first nonzero of its row and only the rows below
     need clearing.  Y is kept transposed, so its column operations are row
-    operations."""
+    operations.  The inverses record each operation undone: a row operation
+    on X is a column operation on X^-1, kept transposed as Y is, and a column
+    operation on Y is a row operation on Y^-1."""
     fld = c.field
     m, n = c.rows, c.cols
     d = [list(r) for r in c.data]
-    x = [list(r) for r in Mat.identity(fld, m).data]
-    yt = [list(r) for r in Mat.identity(fld, n).data]
+
+    def eye(k: int) -> list[list]:
+        return [list(r) for r in Mat.identity(fld, k).data]
+
+    x, xt_inv, yt, y_inv = eye(m), eye(m), eye(n), eye(n)
     pivots: list[tuple[int, int]] = []
     for i in range(m):
         j = next((jj for jj, v in enumerate(d[i]) if v), None)
         if j is None:
             continue
-        inv = fld.inv(d[i][j])
+        piv = d[i][j]
+        inv = fld.inv(piv)
         d[i] = [v * inv for v in d[i]]
         x[i] = [v * inv for v in x[i]]
+        xt_inv[i] = [v * piv for v in xt_inv[i]]
         for r in range(i + 1, m):
             f = d[r][j]
             if f:
                 d[r] = [v - f * w for v, w in zip(d[r], d[i])]
                 x[r] = [v - f * w for v, w in zip(x[r], x[i])]
+                xt_inv[i] = [v + f * w for v, w in zip(xt_inv[i], xt_inv[r])]
         for cc in range(j + 1, n):
             f = d[i][cc]
             if f:
                 yt[cc] = [v - f * w for v, w in zip(yt[cc], yt[j])]
+                y_inv[j] = [v + f * w for v, w in zip(y_inv[j], y_inv[cc])]
         pivots.append((i, j))
-    return Mat(fld, x), Mat(fld, yt).T, pivots
+    return Mat(fld, x), Mat(fld, yt).T, Mat(fld, xt_inv).T, Mat(fld, y_inv), pivots
 
 
 def _linear_normalization(qp: QP):
     """Step 3 of the reduction: a degree-preserving substitution making the
-    degree-2 part a sum of distinct opposite pairs; returns (subst, pairs)."""
+    degree-2 part a sum of distinct opposite pairs, and its inverse, read off
+    the same elimination; returns (subst, inverse, pairs)."""
     space = qp.space
     images: dict[str, JetPoly] = {}
+    inv_images: dict[str, JetPoly] = {}
     pairs: list[tuple[str, str]] = []
     for (_, _), (a_ids, b_ids, c) in sorted(_degree2_pairing(qp).items()):
-        x, y, pivots = _pivot_normal_form(c)
+        x, y, x_inv, y_inv, pivots = _pivot_normal_form(c)
         pairs.extend((a_ids[i], b_ids[j]) for i, j in pivots)
         # psi(u_i) = sum_i' X[i'][i] u_i',  psi(v_j) = sum_j' Y[j][j'] v_j'
         images |= linear_images(space, a_ids, x) | linear_images(space, b_ids, y.T)
-    return substitution_from_images(space, images), pairs
+        inv_images |= linear_images(space, a_ids, x_inv) | linear_images(space, b_ids, y_inv.T)
+    return (
+        substitution_from_images(space, images),
+        substitution_from_images(space, inv_images),
+        pairs,
+    )
 
 
 def split_reduce(qp: QP) -> SplitResult:
@@ -273,7 +291,7 @@ def split_reduce(qp: QP) -> SplitResult:
         cert.note("splitting carries the split potential to the input", True)
         return SplitResult(qp, empty_triv, identity_substitution(space), cert)
 
-    lin_sub, pairs = _linear_normalization(qp)
+    lin_sub, lin_inv, pairs = _linear_normalization(qp)
     s1 = cyclic_normalize(apply_substitution(lin_sub, s0.jet))
 
     partner = {u: v for u, v in pairs} | {v: u for u, v in pairs}
@@ -329,7 +347,7 @@ def split_reduce(qp: QP) -> SplitResult:
     red_pot = _retype_potential(s_red, red_space)
     triv_space = JetSpace(trivial_quiver, n, qp.field)
     triv_pot = _retype_potential(s_triv, triv_space)
-    phi = compose_substitutions(invert_substitution(lin_sub), chi)
+    phi = compose_substitutions(lin_inv, chi)
 
     cert = Report("split_reduce")
     cert.note("reduced part has zero degree-2 component", red_pot.degree2_part().is_zero())

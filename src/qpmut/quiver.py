@@ -190,5 +190,12 @@ def rotations(quiver: Quiver, p: Path) -> list[Path]:
 
 
 def canonical_rotation(quiver: Quiver, p: Path) -> Path:
-    """The lexicographically minimal rotation of a cycle (by arrow-id word)."""
-    return min(rotations(quiver, p), key=lambda q: q.arrows)
+    """The lexicographically minimal rotation of a cycle (by arrow-id word);
+    the words are compared first, and a path is built only for a new one."""
+    if not p.is_cycle():
+        raise CompositionError("only cycles can be rotated")
+    w = p.arrows
+    best = min(w[r:] + w[:r] for r in range(len(w)))
+    if best == w:
+        return p
+    return Path(best, quiver.tail(best[-1]), quiver.head(best[0]))

@@ -22,7 +22,7 @@ from qpmut import (
     second_derivative,
     substitution_from_images,
 )
-from qpmut.quiver import Path, rotations
+from qpmut.quiver import Arrow, Path, Quiver, canonical_rotation, rotations
 
 
 def test_compose_concatenates():
@@ -369,3 +369,58 @@ def test_cyclic_derivative_of_a_doubled_cycle_vanishes_in_characteristic_two():
         assert second_derivative(pot, "b1", "a1") == (
             s.path(("c1", "b1", "a1", "c1")).scale(field.of(expected))
         )
+
+
+# -- canonical rotation against brute force ------------------------------------
+
+_ROT_QUIVER = Quiver(
+    (1, 2, 3),
+    (Arrow("x", 1, 2), Arrow("u", 1, 2), Arrow("y", 2, 1), Arrow("z", 2, 3), Arrow("w", 3, 1)),
+)
+
+
+@st.composite
+def _rotation_cases(draw):
+    """A closed walk from vertex 1, repeated 1-3 times (so words like
+    ``y x y x`` that repeat a shorter word occur), then rotated, or else
+    replaced by its least rotation."""
+    q = _ROT_QUIVER
+    acting_first: list[str] = []
+    at = 1
+    while True:
+        if len(acting_first) < 6:
+            outs = [a.id for a in q.arrows_out_of(at)]
+        else:  # head home: y from 2, w from 3
+            outs = [{2: "y", 3: "w"}[at]]
+        aid = draw(st.sampled_from(outs))
+        acting_first.append(aid)
+        at = q.head(aid)
+        if at == 1 and (len(acting_first) >= 6 or draw(st.booleans())):
+            break
+    word = tuple(reversed(acting_first)) * draw(st.integers(min_value=1, max_value=3))
+    r = draw(st.integers(min_value=0, max_value=len(word) - 1))
+    word = word[r:] + word[:r]
+    if draw(st.booleans()):
+        word = min(word[i:] + word[:i] for i in range(len(word)))
+    return path_from_arrows(q, word)
+
+
+@given(_rotation_cases())
+@settings(max_examples=200, deadline=None)
+def test_canonical_rotation_matches_brute_force(p):
+    q = _ROT_QUIVER
+    got = canonical_rotation(q, p)
+    want = min(rotations(q, p), key=lambda r: r.arrows)
+    assert (got.arrows, got.tail, got.head) == (want.arrows, want.tail, want.head)
+    if want.arrows == p.arrows:
+        assert got is p
+
+
+def test_canonical_rotation_of_a_repeated_word():
+    q = _ROT_QUIVER
+    p = path_from_arrows(q, ("y", "x", "y", "x"))
+    got = canonical_rotation(q, p)
+    assert got.arrows == ("x", "y", "x", "y") and (got.tail, got.head) == (2, 2)
+    assert canonical_rotation(q, got) is got
+    with pytest.raises(CompositionError):
+        canonical_rotation(q, path_from_arrows(q, ("z", "x")))

@@ -30,7 +30,8 @@ from qpmut.fields import GF
 from qpmut.generate import _random_cycles, random_qp
 from qpmut.linalg import Mat
 from qpmut.mutation import double_premutation_equiv, double_premutation_potential_identity
-from qpmut.qp import _pivot_normal_form
+from qpmut.qp import _linear_normalization, _pivot_normal_form
+from qpmut.subst import compose_substitutions, invert_substitution
 
 
 def test_premutate_markov_quiver():
@@ -522,10 +523,30 @@ def test_pivot_normal_form_matches_reference(field):
         density = rng.choice([0.3, 0.6, 1.0])
         c = Mat.from_int_rows(field, [[rng.randint(-3, 3) if rng.random() < density else 0
                                        for _ in range(n)] for _ in range(m)])
-        x, y, pivots = _pivot_normal_form(c)
+        x, y, x_inv, y_inv, pivots = _pivot_normal_form(c)
         rx, ry, rpivots = _pivot_normal_form_reference(c)
+        assert x @ x_inv == Mat.identity(field, m) == x_inv @ x
+        assert y @ y_inv == Mat.identity(field, n) == y_inv @ y
         assert pivots == rpivots
         assert [[str(v) for v in r] for r in x.data] == [[str(v) for v in r] for r in rx]
         assert [[str(v) for v in r] for r in y.data] == [[str(v) for v in r] for r in ry]
         normal = [[field.one if (i, j) in pivots else field.zero for j in range(n)] for i in range(m)]
         assert x @ c @ y == Mat(field, normal)
+
+
+def test_linear_normalization_carries_its_inverse():
+    # criterion 2's corpus: the inverse read off the elimination equals the
+    # general fixed-point inverse, and undoes the normalization both ways
+    rng = random.Random(20240001)
+    checked = 0
+    for _ in range(200):
+        qp = random_qp(rng, max_vertices=5, max_arrows=10, max_terms=8, max_len=5, order=12)
+        if qp.potential.degree2_part().is_zero():
+            continue
+        lin_sub, lin_inv, _ = _linear_normalization(qp)
+        assert lin_inv.images == invert_substitution(lin_sub).images
+        assert compose_substitutions(lin_inv, lin_sub).is_identity()
+        assert compose_substitutions(lin_sub, lin_inv).is_identity()
+        checked += not lin_sub.is_identity()
+    # not vacuous: many normalizations change the arrows
+    assert checked > 50
