@@ -195,7 +195,7 @@ def cmd_verify(args) -> int:
             t = build_triangle(rep, k)
             note(f"triangle at {k}: compositions vanish",
                  (t.alpha @ t.gamma).is_zero() and (t.gamma @ t.beta).is_zero())
-            pm = premutate_rep(rep, k, triangle=t)
+            pm = premutate_rep(rep, k)
             note(f"triangle at {k}: reversed composition is minus the derivative map",
                  check_beta_alpha(pm).ok)
     elif suite == "fourway":

@@ -59,19 +59,15 @@ def hom_space(m: DecRep, n: DecRep) -> HomSpace:
                 block[p * mt + q][offsets[t] + s * mt + q] = -x
         rows.extend(block)
 
+    # unknown o_v + p * dim m_v + q is entry (p, q) of g_v: one pass over the
+    # kernel's nonzeros fills every basis element's vertex blocks
     kernel = Mat.from_rows(fld, rows, total).kernel_basis()
-    basis = []
-    for j in range(kernel.cols):
-        blocks = {}
-        for v in verts:
-            o, dm = offsets[v], m.dims[v]
-            blocks[v] = Mat.from_rows(
-                fld,
-                [{q: kernel.entry(o + p * dm + q, j) for q in range(dm)} for p in range(n.dims[v])],
-                dm,
-            )
-        basis.append(blocks)
-    return HomSpace(basis)
+    cell = [(v, *divmod(i, m.dims[v])) for v in verts for i in range(n.dims[v] * m.dims[v])]
+    blocks = [{v: [{} for _ in range(n.dims[v])] for v in verts} for _ in range(kernel.cols)]
+    for i, j, x in kernel.nonzeros():
+        v, p, q = cell[i]
+        blocks[j][v][p][q] = x
+    return HomSpace([{v: Mat.from_rows(fld, b[v], m.dims[v]) for v in verts} for b in blocks])
 
 
 @dataclass
@@ -109,11 +105,13 @@ def is_isomorphic(m: DecRep, n: DecRep, seed: int = 0) -> IsoResult:
     def combine(coeffs):
         g = {}
         for v in verts:
-            acc = Mat.zero(fld, n.dims[v], m.dims[v])
+            acc = [{} for _ in range(n.dims[v])]
             for c, b in zip(coeffs, hom_mn.basis):
                 if c:
-                    acc = acc + b[v].scale(c)
-            g[v] = acc
+                    for p, q, x in b[v].nonzeros():
+                        y = acc[p].get(q)  # a zero sum counts as absent, as in +
+                        acc[p][q] = y + c * x if y else c * x
+            g[v] = Mat.from_rows(fld, acc, m.dims[v])
         return g
 
     # deterministic first attempts: single basis elements

@@ -196,7 +196,7 @@ class Mat:
             if not cands:
                 continue
             # the sparsest candidate as pivot row creates the least fill-in
-            p = min(cands, key=lambda i: (len(rows[i]), i))
+            p = min(cands, key=lambda i: (len(rows[i]), i)) if len(cands) > 1 else cands.pop()
             hits.remove(p)
             inv = self.field.inv(rows[p].pop(col))
             tail = {j: x * inv for j, x in rows[p].items()}
@@ -254,7 +254,9 @@ class Mat:
         return x
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
+        """Square and of full rank; a square matrix with an empty row is
+        singular without an elimination."""
+        return self.rows == self.cols and all(self._nz) and self.rank() == self.rows
 
 
 def kernel_from_rref(R: Mat, pivots: list[int]) -> tuple[Mat, Mat]:

@@ -158,7 +158,10 @@ def premutate_rep(
     require_valid: bool = True,
     triangle: TrianglePack | None = None,
 ) -> PremutedRep:
-    """Build the premutated decorated representation at k."""
+    """Build the premutated decorated representation at k over the
+    premutated QP and the triangle at k, both stored on the objects they come
+    from, so every premutation of one module at k shares them.  An injected
+    ``triangle`` is used as given and never stored."""
     if construction not in CONSTRUCTIONS:
         raise InvariantError(f"unknown construction {construction!r}")
     if require_valid:
@@ -213,16 +216,15 @@ def check_beta_alpha(pm: PremutedRep) -> Report:
 
 
 def constructions_agree(rep: DecRep, k: int) -> Report:
-    """Build all four premutations over one shared triangle and verify the
-    explicit pairwise isomorphisms between them: identity away from k, and
-    F_to @ F_from^-1 at k, each F inverted at most once and the amalgam's,
-    the identity, never.  A pair whose F_from is singular fails."""
-    t = build_triangle(rep, k)
-    pms = {}
-    for kind in CONSTRUCTIONS:
-        pms[kind] = premutate_rep(
-            rep, k, kind, require_valid=(kind == CONSTRUCTIONS[0]), triangle=t
-        )
+    """Build all four premutations, which share the triangle and premutated
+    QP stored on ``rep``, and verify the explicit pairwise isomorphisms
+    between them: identity away from k, and F_to @ F_from^-1 at k, each F
+    inverted at most once and the amalgam's, the identity, never.  A pair
+    whose F_from is singular fails."""
+    pms = {
+        kind: premutate_rep(rep, k, kind, require_valid=(kind == CONSTRUCTIONS[0]))
+        for kind in CONSTRUCTIONS
+    }
     inverses: dict[str, Mat | None] = {"amalgam": pms["amalgam"].amalgam_map}
     rpt = Report("constructions_agree")
     for kind1 in CONSTRUCTIONS:

@@ -14,12 +14,16 @@ The output is never trusted: a SplitResult carries a certificate verifying
 all of its defining properties, including that the splitting carries
 reduced + trivial part back to the input potential up to cyclic equivalence
 modulo m^(N+1).
+
+A QP stores its premutation at each vertex k when first built, so every
+caller of ``premutate_qp(qp, k)`` shares one premutated QP object.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cycles import Potential, cyclic_derivative, cyclic_normalize, cyclically_equivalent
 from .errors import (
@@ -67,6 +71,10 @@ class QP:
     @property
     def field(self):
         return self.space.field
+
+    @cached_property
+    def _premutations(self) -> dict[int, "QP"]:
+        return {}
 
     def __eq__(self, other):
         return (
@@ -158,7 +166,10 @@ def bracket_substitute(s: Potential, k: int, target: JetSpace) -> Potential:
 
 def premutate_qp(qp: QP, k: int) -> QP:
     """The premutation: bracketed potential plus one correction cycle
-    b* [ba] a* for every hook through k."""
+    b* [ba] a* for every hook through k.  It is built once per QP and k and
+    stored on ``qp``; every later call returns the stored QP."""
+    if k in qp._premutations:
+        return qp._premutations[k]
     _require_admissible(qp.quiver, k)
     qt = premutate_quiver(qp.quiver, k)
     space = JetSpace(qt, qp.order, qp.field)
@@ -169,7 +180,8 @@ def premutate_qp(qp: QP, k: int) -> QP:
             corr = corr + space.path(
                 (star_name(b.id), composite_name(b.id, a.id), star_name(a.id))
             )
-    return QP(qt, pot + cyclic_normalize(corr))
+    qp._premutations[k] = QP(qt, pot + cyclic_normalize(corr))
+    return qp._premutations[k]
 
 
 @dataclass

@@ -3,7 +3,9 @@
 A DecRep stores per-vertex dimensions, per-arrow exact matrices (shape
 dim_head x dim_tail; matrices act on column vectors, rightmost arrow first)
 and decoration dimensions.  Valid modules are nilpotent and annihilated by
-every cyclic derivative of the potential.
+every cyclic derivative of the potential.  A module stores what depends on
+it alone when first computed: its nilpotency index and its triangle at each
+vertex.  A triangle injected into ``premutate_rep`` is never stored.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ class DecRep:
                     f"expected {self.dims[a.head]}x{self.dims[a.tail]}"
                 )
         self._nilpotency_index: int | None = None
+        self._triangles: dict[int, TrianglePack] = {}
 
     @property
     def field(self):
@@ -258,7 +261,10 @@ class TrianglePack:
 
 def build_triangle(rep: DecRep, k: int) -> TrianglePack:
     """Assemble the incoming/outgoing/second-derivative triangle at k and all
-    derived subspace data, each read off the elimination that defines it."""
+    derived subspace data, each read off the elimination that defines it.
+    It is built once per module and k and stored on ``rep``."""
+    if k in rep._triangles:
+        return rep._triangles[k]
     q = rep.qp.quiver
     fld = rep.field
     ins = [a.id for a in q.arrows_into(k)]
@@ -311,7 +317,7 @@ def build_triangle(rep: DecRep, k: int) -> TrianglePack:
     dim_ker_beta = dk - len(piv_beta)
     dim_new_decoration = dim_ker_beta - len(piv_alpha) + (beta @ alpha).rank()
 
-    return TrianglePack(
+    rep._triangles[k] = TrianglePack(
         k=k,
         in_arrows=ins,
         out_arrows=outs,
@@ -337,6 +343,7 @@ def build_triangle(rep: DecRep, k: int) -> TrianglePack:
         s_section=Mat.identity(fld, d_out).take_cols(piv_gamma),
         dim_new_decoration=dim_new_decoration,
     )
+    return rep._triangles[k]
 
 
 def simple_rep(qp: QP, j: int) -> DecRep:

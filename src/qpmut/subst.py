@@ -67,7 +67,8 @@ def identity_substitution(space: JetSpace) -> ArrowSubstitution:
 
 def substitution_from_images(space: JetSpace, images: dict[str, JetPoly]) -> ArrowSubstitution:
     """Build a substitution over ``space`` sending unlisted arrows to themselves."""
-    full = {a.id: images.get(a.id, space.arrow(a.id)) for a in space.quiver.arrows}
+    full = {a.id: images[a.id] if a.id in images else space.arrow(a.id)
+            for a in space.quiver.arrows}
     return ArrowSubstitution(space.quiver, space, full)
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import markov_qp
 from qpmut import (
+    CONSTRUCTIONS,
+    GF,
     ContextError,
     DecRep,
     Mat,
@@ -15,6 +17,7 @@ from qpmut import (
     YES,
     hom_space,
     is_isomorphic,
+    premutate_rep,
     simple_rep,
 )
 from qpmut.generate import base_change, random_valid_module
@@ -96,6 +99,60 @@ def test_hom_space_counts(markov):
     for b in h.basis:
         for a in markov.quiver.arrows:
             assert b[a.head] @ m.maps[a.id] == m.maps[a.id] @ b[a.tail]
+
+
+def _reference_hom_basis(m, n):
+    """Hom(m, n) read cell by cell: the intertwining system from every entry
+    of both maps, its ``kernel_basis``, then one ``entry`` per unknown per
+    basis vector.  Unknown o_v + p * dim m_v + q is entry (p, q) of g_v."""
+    verts = list(m.qp.quiver.vertices)
+    unknown = {}
+    for v in verts:
+        for p in range(n.dims[v]):
+            for q in range(m.dims[v]):
+                unknown[v, p, q] = len(unknown)
+    rows = []
+    for a in m.qp.quiver.arrows:
+        h, t = a.head, a.tail
+        for p in range(n.dims[h]):
+            for q in range(m.dims[t]):
+                # (g_h @ a_M)[p][q] - (a_N @ g_t)[p][q]; h != t, so no clash
+                row = {unknown[h, p, r]: m.maps[a.id].entry(r, q) for r in range(m.dims[h])}
+                for s in range(n.dims[t]):
+                    row[unknown[t, s, q]] = -n.maps[a.id].entry(p, s)
+                rows.append(row)
+    kernel = Mat.from_rows(m.field, rows, len(unknown)).kernel_basis()
+    return [
+        {v: Mat.from_rows(
+            m.field,
+            [{q: kernel.entry(unknown[v, p, q], j) for q in range(m.dims[v])}
+             for p in range(n.dims[v])],
+            m.dims[v],
+        ) for v in verts}
+        for j in range(kernel.cols)
+    ]
+
+
+def test_hom_space_basis_matches_the_cell_by_cell_reference():
+    from test_acceptance import _module_corpus
+
+    pairs = []
+    for m, k in _module_corpus(random.Random(20240003), 30, max_dim=3):
+        pms = [premutate_rep(m, k, kind, require_valid=False).rep for kind in CONSTRUCTIONS]
+        pairs += [(a, b) for i, a in enumerate(pms) for b in pms[i + 1:]]
+    fp = markov_qp(field=GF(7))
+    rng = random.Random(211)
+    for _ in range(6):
+        m = random_valid_module(fp, rng, max_dim=3)
+        n, _ = base_change(m, rng)
+        pairs += [(m, n), (m, random_valid_module(fp, rng, max_dim=3))]
+    assert len(pairs) == 192
+    dims = []
+    for m, n in pairs:
+        h = hom_space(m, n)
+        assert h.basis == _reference_hom_basis(m, n)
+        dims.append(h.dim)
+    assert 0 in dims and max(dims) > 1  # empty and wide bases both occur
 
 
 def test_context_mismatch_raises(markov):

@@ -208,6 +208,35 @@ def test_rank_matches_sympy():
         assert m.rank() == _to_sympy(m).rank()
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "Fp7"])
+def test_is_invertible_is_square_and_full_rank(field, monkeypatch):
+    rng = random.Random(19)
+    mats = [Mat.zero(field, 0, 0), Mat.zero(field, 0, 2), Mat.zero(field, 3, 0)]
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        empty_row = rng.randrange(n) if n and rng.random() < 0.4 else None
+        empty_col = rng.randrange(n) if n and rng.random() < 0.4 else None
+        # small entries, so that singular matrices without an empty row occur
+        mats.append(Mat.from_rows(field, [
+            {j: field.of(rng.randint(-1, 1)) for j in range(n) if j != empty_col}
+            if i != empty_row else {}
+            for i in range(n)
+        ], n))
+    calls = []
+    rref = Mat.rref
+    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    seen = set()
+    for m in mats:
+        want = m.rows == m.cols and m.rank() == m.rows
+        empty = len({i for i, _, _ in m.nonzeros()}) < m.rows  # an empty row
+        calls.clear()
+        assert m.is_invertible() == want
+        if m.rows == m.cols and empty:
+            assert calls == []  # singular without an elimination
+        seen.add((m.rows == m.cols, want, empty))
+    assert {(True, True, False), (True, False, True), (True, False, False)} <= seen
+
+
 def test_solve_and_inverse():
     rng = random.Random(3)
     for _ in range(20):

@@ -164,6 +164,46 @@ def test_constructions_agree_costs_thirty_one_eliminations(monkeypatch):
     assert len(calls) == 31
 
 
+def test_second_constructions_agree_reuses_the_stored_triangle_and_qp(monkeypatch):
+    # of the first call's 31, the triangle's 7 are gone: it is stored on the
+    # module.  The output's module check (3), the pushout's quotient package,
+    # 18 rank tests and 2 inversions remain.  The premutations that follow
+    # reuse the triangle; only the pushout eliminates, for its quotient
+    # package.
+    rep = docio.load_path("fixtures/markov_rep.json")
+    assert constructions_agree(rep, MARKOV_K).ok
+    calls = []
+    rref = Mat.rref
+    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    assert constructions_agree(rep, MARKOV_K).ok
+    assert len(calls) == 24
+    per_kind = []
+    for kind in CONSTRUCTIONS:
+        calls.clear()
+        premutate_rep(rep, MARKOV_K, kind, require_valid=False)
+        per_kind.append(len(calls))
+    assert per_kind == [0, 0, 0, 1]
+
+
+def test_injected_triangle_is_never_stored(markov):
+    def emitted(pm):
+        return docio.dumps(docio.emit_decrep(pm.rep))
+
+    rng = random.Random(137)
+    while True:
+        m = random_valid_module(markov, rng, max_dim=3)
+        # the triangle to scramble comes from a copy, so m has none stored
+        copy = docio.loads(docio.dumps(docio.emit_decrep(m)))
+        t = _scramble_choices(build_triangle(copy, MARKOV_K), 99)
+        scrambled = premutate_rep(m, MARKOV_K, triangle=t)
+        want = emitted(premutate_rep(copy, MARKOV_K))
+        if emitted(scrambled) != want:
+            break
+    assert scrambled.triangle is t
+    assert emitted(premutate_rep(m, MARKOV_K)) == want
+    assert build_triangle(m, MARKOV_K) is not t
+
+
 def test_annihilation_by_premuted_derivatives(markov):
     rng = random.Random(109)
     for _ in range(3):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import a2_qp, a3_line_qp, markov_qp, markov_quiver, MARKOV_K
+from qpmut import docio
 from qpmut import (
     Arrow,
     JetSpace,
@@ -147,6 +148,21 @@ def test_premutate_markov_qp_displayed_potential():
         + space.path(("a2*", "b2*", "[b2a2]"))
     )
     assert qpt.potential == expected
+
+
+def test_premutate_qp_is_built_once_per_qp_and_vertex():
+    qp = markov_qp()
+    qpt = premutate_qp(qp, MARKOV_K)
+    assert premutate_qp(qp, MARKOV_K) is qpt
+    # an equal QP that is another object builds its own, equal premutation
+    twin = docio.loads(docio.dumps(docio.emit_qp(qp)))
+    assert twin == qp and twin is not qp
+    twin_t = premutate_qp(twin, MARKOV_K)
+    assert twin_t == qpt and twin_t is not qpt
+    # another vertex is another premutation
+    other = premutate_qp(qp, 1)
+    assert other != qpt and premutate_qp(qp, 1) is other
+    assert premutate_qp(qp, MARKOV_K) is qpt
 
 
 def test_premutate_zero_potential_at_sink():

@@ -324,6 +324,24 @@ def test_triangle_costs_seven_eliminations(monkeypatch):
     assert len(calls) == 7
 
 
+def test_triangle_is_built_once_per_module_and_vertex(monkeypatch):
+    rep = docio.load_path("fixtures/markov_rep.json")
+    t = build_triangle(rep, MARKOV_K)
+    calls = []
+    rref = Mat.rref
+    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    assert build_triangle(rep, MARKOV_K) is t
+    assert calls == []
+    # an equal module that is another object builds its own, equal pack
+    copy = docio.loads(docio.dumps(docio.emit_decrep(rep)))
+    calls.clear()  # loading checks the module
+    fresh = build_triangle(copy, MARKOV_K)
+    assert fresh is not t and len(calls) == 7
+    for f in dataclasses.fields(t):
+        assert getattr(fresh, f.name) == getattr(t, f.name), f.name
+    assert build_triangle(rep, 1) is not t and build_triangle(rep, 1).k == 1
+
+
 def test_triangle_a2_projective():
     m = a2_p1()
     t = build_triangle(m, 2)

@@ -216,3 +216,15 @@ def test_invert_random_unitriangular(seed):
     phi = substitution_from_images(s, images)
     inv = invert_substitution(phi)
     assert compose_substitutions(inv, phi).is_identity()
+
+
+def test_substitution_from_images_builds_only_the_missing_arrows(monkeypatch):
+    s = JetSpace(markov_quiver(), 5, QQ)
+    images = {"a1": s.arrow("a2"), "b1": s.arrow("b1") + s.path(("b1", "a1", "c1", "b2"))}
+    built = []
+    arrow = JetSpace.arrow
+    monkeypatch.setattr(JetSpace, "arrow", lambda self, aid: built.append(aid) or arrow(self, aid))
+    phi = substitution_from_images(s, images)
+    assert sorted(built) == ["a2", "b2", "c1", "c2"]
+    assert phi.images["a1"] is images["a1"] and phi.images["b1"] is images["b1"]
+    assert all(phi.images[a] == arrow(s, a) for a in built)
