@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ContextError
 from .linalg import Mat
-from .reps import DecRep, is_isomorphism
+from .reps import DecRep, is_intertwiner, is_isomorphism
 
 YES = "YES"
 NO = "NO"
@@ -59,14 +59,19 @@ def hom_space(m: DecRep, n: DecRep) -> HomSpace:
                 block[p * mt + q][offsets[t] + s * mt + q] = -x
         rows.extend(block)
 
-    # unknown o_v + p * dim m_v + q is entry (p, q) of g_v: one pass over the
-    # kernel's nonzeros fills every basis element's vertex blocks
-    kernel = Mat.from_rows(fld, rows, total).kernel_basis()
+    # unknown o_v + p * dim m_v + q is entry (p, q) of g_v.  Free unknown j
+    # gives the kernel element with 1 at j and -R[i][j] at pivot i of the RREF
+    R, pivots = Mat.from_rows(fld, rows, total).rref()
+    free = {j: c for c, j in enumerate(sorted(set(range(total)).difference(pivots)))}
     cell = [(v, *divmod(i, m.dims[v])) for v in verts for i in range(n.dims[v] * m.dims[v])]
-    blocks = [{v: [{} for _ in range(n.dims[v])] for v in verts} for _ in range(kernel.cols)]
-    for i, j, x in kernel.nonzeros():
-        v, p, q = cell[i]
-        blocks[j][v][p][q] = x
+    blocks = [{v: [{} for _ in range(n.dims[v])] for v in verts} for _ in free]
+    for j, c in free.items():
+        v, p, q = cell[j]
+        blocks[c][v][p][q] = fld.one
+    for i, j, x in R.nonzeros():
+        if j in free:
+            v, p, q = cell[pivots[i]]
+            blocks[free[j]][v][p][q] = -x
     return HomSpace([{v: Mat.from_rows(fld, b[v], m.dims[v]) for v in verts} for b in blocks])
 
 
@@ -102,7 +107,7 @@ def is_isomorphic(m: DecRep, n: DecRep, seed: int = 0) -> IsoResult:
     verts = list(m.qp.quiver.vertices)
     rng = random.Random(seed)
 
-    def combine(coeffs):
+    def candidate(coeffs):  # built vertex by vertex; None at the first singular block
         g = {}
         for v in verts:
             acc = [{} for _ in range(n.dims[v])]
@@ -112,6 +117,8 @@ def is_isomorphic(m: DecRep, n: DecRep, seed: int = 0) -> IsoResult:
                         y = acc[p].get(q)  # a zero sum counts as absent, as in +
                         acc[p][q] = y + c * x if y else c * x
             g[v] = Mat.from_rows(fld, acc, m.dims[v])
+            if not g[v].is_invertible():
+                return None
         return g
 
     # deterministic first attempts: single basis elements
@@ -122,8 +129,8 @@ def is_isomorphic(m: DecRep, n: DecRep, seed: int = 0) -> IsoResult:
     for trial in range(ISO_TRIES):
         bound = 1 + trial // 8
         coeffs = [fld.of(rng.randint(-bound, bound)) for _ in hom_mn.basis]
-        g = combine(coeffs)
-        if is_isomorphism(m, n, g):
+        g = candidate(coeffs)
+        if g is not None and is_intertwiner(m, n, g):
             return IsoResult(YES, certificate=g, seed=seed)
     if hom_space(n, m).dim != hom_mn.dim:
         return IsoResult(NO, obstruction="hom spaces have different dimensions", seed=seed)

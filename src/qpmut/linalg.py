@@ -65,6 +65,8 @@ class Mat:
 
     # -- reads --------------------------------------------------------
     def entry(self, i: int, j: int):
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise ShapeError("entry index out of range")
         return self._nz[i].get(j, self.field.zero)
 
     @property
@@ -103,6 +105,9 @@ class Mat:
 
     def is_zero(self) -> bool:
         return not any(self._nz)
+
+    def is_identity(self) -> bool:
+        return self.rows == self.cols and all(r == {i: self.field.one} for i, r in enumerate(self._nz))
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
@@ -172,6 +177,8 @@ class Mat:
         return Mat._of(self.field, out, len(idx))
 
     def take_rows(self, idx: list[int]) -> "Mat":
+        if any(not 0 <= i < self.rows for i in idx):
+            raise ShapeError("take_rows needs row indices in range")
         return Mat._of(self.field, [self._nz[i] for i in idx], self.cols)
 
     # -- elimination ---------------------------------------------------
@@ -254,9 +261,14 @@ class Mat:
         return x
 
     def is_invertible(self) -> bool:
-        """Square and of full rank; a square matrix with an empty row is
-        singular without an elimination."""
-        return self.rows == self.cols and all(self._nz) and self.rank() == self.rows
+        """Square and of full rank.  A square matrix with an empty row is
+        singular, and a monomial one (one nonzero per row, in distinct
+        columns; 0x0 and identities too) invertible, without elimination."""
+        if self.rows != self.cols or not all(self._nz):
+            return False
+        if sum(map(len, self._nz)) == self.rows == len({j for r in self._nz for j in r}):
+            return True
+        return self.rank() == self.rows
 
 
 def kernel_from_rref(R: Mat, pivots: list[int]) -> tuple[Mat, Mat]:

@@ -5,15 +5,18 @@ amalgam of coker(beta) and ker(alpha) over im(gamma).  Four equivalent
 constructions are provided ("amalgam", "ker_alpha", "coker_beta",
 "pushout").  Each construction is written once, in one branch that makes
 its reversed-arrow maps together with the map F from amalgam coordinates
-onto its space at k; the isomorphism between two constructions is
-F_to @ F_from^-1, produced and verified by ``constructions_agree``.  Full
-mutation premutates, then pulls the module structure back along the
-splitting substitution of the premutated potential.
+onto its space at k, which is built when first read; the isomorphism
+between two constructions is F_to @ F_from^-1, produced and verified by
+``constructions_agree``, the only reader of F.  Full mutation premutates,
+then pulls the module structure back along the splitting substitution of
+the premutated potential.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .cycles import cyclic_normalize, cyclically_equivalent
 from .errors import (
@@ -33,6 +36,7 @@ from .reps import (
     build_triangle,
     check_module,
     component_action,
+    composite_maps,
     is_isomorphism,
 )
 from .subst import ArrowSubstitution
@@ -44,13 +48,17 @@ CONSTRUCTIONS = ("amalgam", "ker_alpha", "coker_beta", "pushout")
 class PremutedRep:
     """A decorated representation of the premutated QP, remembering how the
     space at the mutation vertex was assembled: ``amalgam_map`` is the map F
-    from amalgam coordinates onto that space, made with the construction."""
+    from amalgam coordinates onto that space, built when first read."""
 
     rep: DecRep
     k: int
     construction: str
     triangle: TrianglePack
-    amalgam_map: Mat
+    make_amalgam_map: Callable[[], Mat] = field(repr=False, compare=False)
+
+    @cached_property
+    def amalgam_map(self) -> Mat:
+        return self.make_amalgam_map()
 
     @property
     def alpha_bar(self) -> Mat:
@@ -66,8 +74,8 @@ class PremutedRep:
 
 
 def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
-    """Return (F, alpha_bar, beta_bar) for the chosen construction, each
-    branch writing all three from the same intermediates.  F maps amalgam
+    """Return (make_F, alpha_bar, beta_bar) for the chosen construction,
+    each branch writing all three from the same intermediates.  F maps amalgam
     coordinates (ker gamma/im beta, im gamma, ker alpha/im gamma, decoration)
     onto the construction's space Mbar_k; alpha_bar: M_out -> Mbar_k,
     beta_bar: Mbar_k -> M_in."""
@@ -79,7 +87,7 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
     c = t.dim_cokerbeta
 
     if kind == "amalgam":
-        f = Mat.identity(fld, q1 + rg + q2 + vk)
+        f = lambda: Mat.identity(fld, q1 + rg + q2 + vk)
         beta_bar = hstack(fld, [
             Mat.zero(fld, d_in, q1),
             t.ker_alpha @ t.im_gamma_in_keralpha,
@@ -93,7 +101,7 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
             Mat.zero(fld, vk, d_out),
         ], cols=d_out)
     elif kind == "ker_alpha":
-        f = block_matrix(fld, [
+        f = lambda: block_matrix(fld, [
             [Mat.identity(fld, q1), Mat.zero(fld, q1, rg), Mat.zero(fld, q1, q2), Mat.zero(fld, q1, vk)],
             [Mat.zero(fld, ka, q1), t.im_gamma_in_keralpha, t.sigma, Mat.zero(fld, ka, vk)],
             [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
@@ -109,7 +117,7 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
             Mat.zero(fld, vk, d_out),
         ], cols=d_out)
     elif kind == "coker_beta":
-        f = block_matrix(fld, [
+        f = lambda: block_matrix(fld, [
             [t.coker_p @ (t.ker_gamma @ t.s1), t.coker_p @ t.s_section,
              Mat.zero(fld, c, q2), Mat.zero(fld, c, vk)],
             [Mat.zero(fld, q2, q1), Mat.zero(fld, q2, rg), Mat.identity(fld, q2), Mat.zero(fld, q2, vk)],
@@ -135,7 +143,7 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
         pd = qproj.rows
         qc = qproj.take_cols(list(range(c)))
         jmap = qproj.take_cols(list(range(c, c + ka)))
-        f = block_matrix(fld, [
+        f = lambda: block_matrix(fld, [
             [qc @ (t.coker_p @ (t.ker_gamma @ t.s1)), jmap @ t.im_gamma_in_keralpha,
              jmap @ t.sigma, Mat.zero(fld, pd, vk)],
             [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
@@ -172,12 +180,12 @@ def premutate_rep(
     t = triangle if triangle is not None else build_triangle(rep, k)
     vk = rep.dec_dims[k]
 
-    f, alpha_bar, beta_bar = _construction_blocks(t, vk, fld, construction)
+    make_f, alpha_bar, beta_bar = _construction_blocks(t, vk, fld, construction)
     # dimension bookkeeping: the new space has as many dimensions as the
     # amalgam has coordinates
-    if f.rows != f.cols:
+    dbar_k = t.dim_kergamma_mod_imbeta + t.dim_imgamma + t.dim_keralpha_mod_imgamma + vk
+    if alpha_bar.rows != dbar_k:
         raise CertificateError("dimension bookkeeping failed for the new space")
-    dbar_k = f.rows
 
     dims = {v: (dbar_k if v == k else rep.dims[v]) for v in qp.quiver.vertices}
     dec = {v: (t.dim_new_decoration if v == k else rep.dec_dims[v]) for v in qp.quiver.vertices}
@@ -186,9 +194,7 @@ def premutate_rep(
     for a in qp.quiver.arrows:
         if a.head != k and a.tail != k:
             maps[a.id] = rep.maps[a.id]
-    for b in qp.quiver.arrows_out_of(k):
-        for a in qp.quiver.arrows_into(k):
-            maps[composite_name(b.id, a.id)] = rep.maps[b.id] @ rep.maps[a.id]
+    maps.update(composite_maps(rep, k))
     # rows of beta_bar per incoming arrow, columns of alpha_bar per outgoing
     off = 0
     for aid, d in zip(t.in_arrows, t.in_dims):
@@ -200,7 +206,7 @@ def premutate_rep(
         off += d
 
     out = DecRep(qpt, dims, maps, dec)
-    pm = PremutedRep(rep=out, k=k, construction=construction, triangle=t, amalgam_map=f)
+    pm = PremutedRep(rep=out, k=k, construction=construction, triangle=t, make_amalgam_map=make_f)
     if require_valid:
         check_module(out).require()
     return pm
@@ -219,12 +225,14 @@ def constructions_agree(rep: DecRep, k: int) -> Report:
     """Build all four premutations, which share the triangle and premutated
     QP stored on ``rep``, and verify the explicit pairwise isomorphisms
     between them: identity away from k, and F_to @ F_from^-1 at k, each F
-    inverted at most once and the amalgam's, the identity, never.  A pair
-    whose F_from is singular fails."""
+    inverted at most once and the amalgam's, the identity, never; the pairs
+    share one identity per vertex away from k.  A pair whose F_from is
+    singular fails."""
     pms = {
         kind: premutate_rep(rep, k, kind, require_valid=(kind == CONSTRUCTIONS[0]))
         for kind in CONSTRUCTIONS
     }
+    ident = {v: Mat.identity(rep.field, rep.dims[v]) for v in rep.qp.quiver.vertices if v != k}
     inverses: dict[str, Mat | None] = {"amalgam": pms["amalgam"].amalgam_map}
     rpt = Report("constructions_agree")
     for kind1 in CONSTRUCTIONS:
@@ -242,8 +250,7 @@ def constructions_agree(rep: DecRep, k: int) -> Report:
                 continue
             m_from, m_to = pms[kind1].rep, pms[kind2].rep
             f_k = pms[kind2].amalgam_map @ inverses[kind1]
-            f = {v: (f_k if v == k else Mat.identity(m_from.field, m_from.dims[v]))
-                 for v in m_from.qp.quiver.vertices}
+            f = {v: (f_k if v == k else ident[v]) for v in m_from.qp.quiver.vertices}
             rpt.witness[f"{kind1}->{kind2}"] = f
             rpt.note(name, is_isomorphism(m_from, m_to, f))
     return rpt

@@ -4,8 +4,9 @@ A DecRep stores per-vertex dimensions, per-arrow exact matrices (shape
 dim_head x dim_tail; matrices act on column vectors, rightmost arrow first)
 and decoration dimensions.  Valid modules are nilpotent and annihilated by
 every cyclic derivative of the potential.  A module stores what depends on
-it alone when first computed: its nilpotency index and its triangle at each
-vertex.  A triangle injected into ``premutate_rep`` is never stored.
+it alone when first computed: its nilpotency index, and at each vertex its
+triangle and the composites M_b @ M_a through it.  A triangle injected into
+``premutate_rep`` is never stored.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .linalg import (
     subspace_package,
     vstack,
 )
-from .qp import QP
+from .qp import QP, composite_name
 
 
 @dataclass
@@ -43,9 +44,9 @@ class DecRep:
             if self.dims[v] < 0 or self.dec_dims[v] < 0:
                 raise InvariantError("negative dimension")
         for a in q.arrows:
-            m = self.maps.setdefault(
-                a.id, Mat.zero(self.qp.field, self.dims[a.head], self.dims[a.tail])
-            )
+            m = self.maps.get(a.id)
+            if m is None:
+                m = self.maps[a.id] = Mat.zero(self.qp.field, self.dims[a.head], self.dims[a.tail])
             if (m.rows, m.cols) != (self.dims[a.head], self.dims[a.tail]):
                 raise ShapeError(
                     f"map for {a.id!r} has shape {m.rows}x{m.cols}, "
@@ -53,6 +54,7 @@ class DecRep:
                 )
         self._nilpotency_index: int | None = None
         self._triangles: dict[int, TrianglePack] = {}
+        self._composites: dict[int, dict[str, Mat]] = {}
 
     @property
     def field(self):
@@ -160,11 +162,15 @@ def check_module(rep: DecRep) -> Report:
 
 
 def is_intertwiner(m_from: DecRep, m_to: DecRep, f: dict[int, Mat]) -> bool:
-    """f_head @ a_from == a_to @ f_tail for every arrow a."""
-    for a in m_from.qp.quiver.arrows:
-        if f[a.head] @ m_from.maps[a.id] != m_to.maps[a.id] @ f[a.tail]:
-            return False
-    return True
+    """f_head @ a_from == a_to @ f_tail for every arrow a.  Where f is the
+    identity at both ends of an arrow, that is a_from == a_to, compared
+    without the products."""
+    ident = {v for v, g in f.items() if g.is_identity() and m_from.dims.get(v) == g.rows == m_to.dims.get(v)}
+    return all(
+        m_from.maps[a.id] == m_to.maps[a.id] if a.head in ident and a.tail in ident
+        else f[a.head] @ m_from.maps[a.id] == m_to.maps[a.id] @ f[a.tail]
+        for a in m_from.qp.quiver.arrows
+    )
 
 
 def is_isomorphism(m: DecRep, n: DecRep, f: dict[int, Mat]) -> bool:
@@ -344,6 +350,16 @@ def build_triangle(rep: DecRep, k: int) -> TrianglePack:
         dim_new_decoration=dim_new_decoration,
     )
     return rep._triangles[k]
+
+
+def composite_maps(rep: DecRep, k: int) -> dict[str, Mat]:
+    """M_b @ M_a for each arrow a into k and b out of k, by composite name;
+    built once per module and k from its own maps and stored on ``rep``."""
+    q = rep.qp.quiver
+    if k not in rep._composites:
+        rep._composites[k] = {composite_name(b.id, a.id): rep.maps[b.id] @ rep.maps[a.id]
+                              for b in q.arrows_out_of(k) for a in q.arrows_into(k)}
+    return rep._composites[k]
 
 
 def simple_rep(qp: QP, j: int) -> DecRep:

@@ -202,8 +202,10 @@ def test_cli_fourway_reports_a_singular_coordinate_map(tmp_path, monkeypatch):
     construction_blocks = mutmod._construction_blocks
 
     def singular(t, vk, fld, kind):
-        f, alpha_bar, beta_bar = construction_blocks(t, vk, fld, kind)
-        return (f.scale(fld.zero) if kind == "ker_alpha" else f), alpha_bar, beta_bar
+        make_f, alpha_bar, beta_bar = construction_blocks(t, vk, fld, kind)
+        if kind == "ker_alpha":
+            return (lambda: make_f().scale(fld.zero)), alpha_bar, beta_bar
+        return make_f, alpha_bar, beta_bar
 
     monkeypatch.setattr(mutmod, "_construction_blocks", singular)
     out = tmp_path / "fourway.txt"

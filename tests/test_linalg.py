@@ -222,19 +222,51 @@ def test_is_invertible_is_square_and_full_rank(field, monkeypatch):
             if i != empty_row else {}
             for i in range(n)
         ], n))
+    rng = random.Random(23)
+    mats += [Mat.identity(field, 4), Mat.from_int_rows(field, [[1, 1], [0, 1]])]
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        # one nonzero per row: a scaled permutation matrix, then columns drawn
+        # with repeats, which is singular when a column repeats
+        for cols in (rng.sample(range(n), n), [rng.randrange(n) for _ in range(n)]):
+            mats.append(Mat.from_rows(field, [{j: field.of(rng.choice([-3, -2, -1, 1, 2, 3]))}
+                                              for j in cols], n))
+        rows = [{j: field.of(rng.randint(-2, 2)) for j in range(n)} for _ in range(n)]
+        if n > 1:
+            a, b = rng.sample(range(n), 2)  # column a copied onto column b
+            mats.append(Mat.from_rows(field, [{**r, b: r.get(a, field.zero)} for r in rows], n))
     calls = []
     rref = Mat.rref
     monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
     seen = set()
     for m in mats:
         want = m.rows == m.cols and m.rank() == m.rows
-        empty = len({i for i, _, _ in m.nonzeros()}) < m.rows  # an empty row
+        nz = list(m.nonzeros())
+        empty = len({i for i, _, _ in nz}) < m.rows  # an empty row
+        # one nonzero in each row, in distinct columns
+        monomial = m.rows == m.cols and len(nz) == m.rows == len({j for _, j, _ in nz}) and not empty
         calls.clear()
         assert m.is_invertible() == want
-        if m.rows == m.cols and empty:
-            assert calls == []  # singular without an elimination
-        seen.add((m.rows == m.cols, want, empty))
-    assert {(True, True, False), (True, False, True), (True, False, False)} <= seen
+        if m.rows == m.cols and (empty or monomial):
+            assert calls == []  # decided without an elimination
+        assert want or not monomial
+        seen.add((m.rows == m.cols, want, empty, monomial))
+    assert {(True, True, False, True), (True, True, False, False),
+            (True, False, True, False), (True, False, False, False)} <= seen
+
+
+def test_take_and_entry_reject_indices_out_of_range():
+    m = Mat.from_int_rows(QQ, [[1, 2], [3, 4], [5, 6]])
+    for idx in ([-1], [3], [7], [0, -3]):
+        with pytest.raises(ShapeError):
+            m.take_rows(idx)
+        with pytest.raises(ShapeError):
+            m.T.take_cols(idx)
+    for i, j in ((-1, 0), (0, -1), (3, 0), (0, 2), (0, 9)):
+        with pytest.raises(ShapeError):
+            m.entry(i, j)
+    assert m.take_rows([2, 0, 2]) == Mat.from_int_rows(QQ, [[5, 6], [1, 2], [5, 6]])
+    assert (m.entry(2, 1), m.entry(0, 0)) == (6, 1)
 
 
 def test_solve_and_inverse():

@@ -152,37 +152,71 @@ def test_pushout_premutation_costs_one_elimination(markov, monkeypatch):
     assert len(calls) == 1
 
 
-def test_constructions_agree_costs_thirty_one_eliminations(monkeypatch):
+def test_constructions_agree_costs_thirteen_eliminations(monkeypatch):
     # the triangle's 7, the first premutation's module check (3), the
-    # pushout's quotient package, the rank tests of the 6 isomorphisms (18)
-    # and 2 inversions: the amalgam's F is the identity and is not inverted
+    # pushout's quotient package and 2 inversions: the amalgam's F is the
+    # identity and is not inverted.  The 6 isomorphisms are identities away
+    # from k and monomial at k (every F of this module is the identity), so
+    # their 18 rank tests need no elimination.
     rep = docio.load_path("fixtures/markov_rep.json")
     calls = []
     rref = Mat.rref
     monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
     assert constructions_agree(rep, MARKOV_K).ok
-    assert len(calls) == 31
+    assert len(calls) == 13
 
 
 def test_second_constructions_agree_reuses_the_stored_triangle_and_qp(monkeypatch):
-    # of the first call's 31, the triangle's 7 are gone: it is stored on the
-    # module.  The output's module check (3), the pushout's quotient package,
-    # 18 rank tests and 2 inversions remain.  The premutations that follow
-    # reuse the triangle; only the pushout eliminates, for its quotient
-    # package.
+    # of the first call's 13, the triangle's 7 are gone: it is stored on the
+    # module.  The output's module check (3), the pushout's quotient package
+    # and 2 inversions remain.  The premutations that follow reuse the
+    # triangle; only the pushout eliminates, for its quotient package.
     rep = docio.load_path("fixtures/markov_rep.json")
     assert constructions_agree(rep, MARKOV_K).ok
     calls = []
     rref = Mat.rref
     monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
     assert constructions_agree(rep, MARKOV_K).ok
-    assert len(calls) == 24
+    assert len(calls) == 6
     per_kind = []
     for kind in CONSTRUCTIONS:
         calls.clear()
         premutate_rep(rep, MARKOV_K, kind, require_valid=False)
         per_kind.append(len(calls))
     assert per_kind == [0, 0, 0, 1]
+
+
+def test_amalgam_map_is_built_when_first_read(markov, monkeypatch):
+    # mutation and transport never read F; read late, it equals F read right
+    # after the premutation of a copy, and it is built once
+    import qpmut.mutation as mutmod
+
+    built = []
+    construction_blocks = mutmod._construction_blocks
+
+    def counted(t, vk, fld, kind):
+        make_f, alpha_bar, beta_bar = construction_blocks(t, vk, fld, kind)
+        return (lambda: built.append(kind) or make_f()), alpha_bar, beta_bar
+
+    rng = random.Random(181)
+    while True:
+        m = random_valid_module(markov, rng, max_dim=3)
+        if not build_triangle(m, MARKOV_K).gamma.is_zero():
+            break
+    copy = docio.loads(docio.dumps(docio.emit_decrep(m)))
+    eager = {kind: premutate_rep(copy, MARKOV_K, kind).amalgam_map for kind in CONSTRUCTIONS}
+    assert any(f != Mat.identity(QQ, f.rows) for f in eager.values())
+    monkeypatch.setattr(mutmod, "_construction_blocks", counted)
+    pms = {kind: premutate_rep(m, MARKOV_K, kind) for kind in CONSTRUCTIONS}
+    for kind in CONSTRUCTIONS:
+        mutate_rep(m, MARKOV_K, kind)
+    n, g = base_change(m, rng)
+    transport_iso(m, n, g, MARKOV_K)
+    assert built == []
+    for kind, pm in pms.items():
+        assert pm.amalgam_map == eager[kind]
+        assert pm.amalgam_map is pm.amalgam_map
+    assert built == list(CONSTRUCTIONS)
 
 
 def test_injected_triangle_is_never_stored(markov):

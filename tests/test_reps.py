@@ -22,7 +22,7 @@ from qpmut import (
     path_action,
     simple_rep,
 )
-from qpmut.generate import random_qp, random_valid_module, truncated_projective
+from qpmut.generate import random_invertible, random_qp, random_valid_module, truncated_projective
 from qpmut.linalg import coords_in, subspace_package
 from qpmut.reps import is_intertwiner, is_isomorphism, path_matrix
 
@@ -433,3 +433,27 @@ def test_is_isomorphism_needs_intertwiner_and_invertible(markov):
     twist = {1: Mat.identity(QQ, 1), 2: Mat.identity(QQ, 1).scale(QQ.of(2))}
     assert all(m.is_invertible() for m in twist.values())
     assert not is_intertwiner(p, p, twist) and not is_isomorphism(p, p, twist)
+
+
+def test_is_intertwiner_gives_the_same_answer_with_and_without_identity_blocks(markov):
+    # f has identity blocks at a random set of vertices; 2f has none, so it
+    # is tested by the products alone.  Both agree with the definition.
+    rng = random.Random(173)
+    q = markov.quiver
+    seen = set()
+    for _ in range(40):
+        m = random_valid_module(markov, rng, max_dim=3)
+        ident = {v for v in q.vertices if rng.random() < 0.6}
+        f = {v: Mat.identity(QQ, m.dims[v]) if v in ident else random_invertible(rng, QQ, m.dims[v])
+             for v in q.vertices}
+        maps = {a.id: f[a.head] @ m.maps[a.id] @ f[a.tail].inverse() for a in q.arrows}
+        a = rng.choice(q.arrows)
+        if rng.random() < 0.5 and m.dims[a.head] and m.dims[a.tail]:
+            maps[a.id] = maps[a.id] + Mat.from_rows(QQ, [{0: QQ.one}] + [{}] * (m.dims[a.head] - 1),
+                                                   m.dims[a.tail])
+        n = DecRep(markov, m.dims, maps, m.dec_dims)
+        want = all(f[b.head] @ m.maps[b.id] == n.maps[b.id] @ f[b.tail] for b in q.arrows)
+        assert is_intertwiner(m, n, f) == want
+        assert is_intertwiner(m, n, {v: g.scale(QQ.of(2)) for v, g in f.items()}) == want
+        seen.add((want, a.head in ident and a.tail in ident))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
