@@ -4,16 +4,20 @@ The splitting algorithm normalizes the degree-2 part of the potential into
 distinct opposite pairs by exact Gaussian elimination on the pairing matrix;
 the elimination records the inverse L^-1 of this linear change of arrows L
 as it runs.  It then builds the reduced part and the splitting substitution
-together, degree by degree: at the least degree of the discrepancy between the
-normalized potential and the splitting applied to trivial + reduced part,
-each cycle that touches a trivial arrow is absorbed into a correction of
-that arrow's partner, and every other cycle joins the reduced part.  Each
-round clears one degree, so at most N rounds run.  The splitting is
-phi = L^-1 o chi, where chi is the correction built in those rounds.
+together, degree by degree, keeping the discrepancy
+delta = S1 - chi(S_triv) - S_red between the normalized potential and the
+split one up to date: at delta's least degree, each cycle that touches a
+trivial arrow is absorbed into a correction of that arrow's partner, every
+other cycle joins the reduced part, and delta loses those cycles and gains
+the change in the images of the trivial terms.  Each round clears one
+degree, so at most N rounds run.  The splitting is phi = L^-1 o chi, where
+chi is the correction built in those rounds.
 The output is never trusted: a SplitResult carries a certificate verifying
 all of its defining properties, including that the splitting carries
 reduced + trivial part back to the input potential up to cyclic equivalence
-modulo m^(N+1).
+modulo m^(N+1).  A potential with no degree-2 part is its own reduced part
+with phi = id, and its four checks are noted true by construction, not
+computed.
 
 A QP stores its premutation at each vertex k when first built, so every
 caller of ``premutate_qp(qp, k)`` shares one premutated QP object.
@@ -35,7 +39,7 @@ from .errors import (
 )
 from .jets import JetPoly, JetSpace
 from .linalg import Mat
-from .quiver import Arrow, Path, Quiver, rotations
+from .quiver import Arrow, Path, Quiver
 from .subst import (
     ArrowSubstitution,
     apply_substitution,
@@ -130,12 +134,14 @@ def mutate_quiver(q: Quiver, k: int) -> Quiver:
     return qt.without_arrows(used)
 
 
-def _rotate_off_vertex(q: Quiver, p: Path, k: int) -> Path:
-    """Lexicographically minimal rotation of a cycle whose base point is not k."""
-    cands = [r for r in rotations(q, p) if q.tail(r.arrows[-1]) != k]
+def _rotate_off_vertex(q: Quiver, p: Path, k: int) -> tuple[str, ...]:
+    """Lexicographically minimal rotation of a cycle's word whose base point
+    is not k."""
+    w = p.arrows
+    cands = [r for r in (w[i:] + w[:i] for i in range(len(w))) if q.tail(r[-1]) != k]
     if not cands:
         raise InvariantError("cycle lives entirely at one vertex")  # impossible, loop-free
-    return min(cands, key=lambda r: r.arrows)
+    return min(cands)
 
 
 def bracket_substitute(s: Potential, k: int, target: JetSpace) -> Potential:
@@ -148,8 +154,7 @@ def bracket_substitute(s: Potential, k: int, target: JetSpace) -> Potential:
         if all(src_q.tail(a) != k and src_q.head(a) != k for a in p.arrows):
             word = p.arrows
         else:
-            rot = _rotate_off_vertex(src_q, p, k)
-            w = rot.arrows
+            w = _rotate_off_vertex(src_q, p, k)
             word_l: list[str] = []
             i = 0
             while i < len(w):
@@ -285,7 +290,15 @@ def _linear_normalization(qp: QP):
 
 def split_reduce(qp: QP) -> SplitResult:
     """Split a QP into reduced and trivial parts with an explicit splitting
-    substitution, verified by certificate."""
+    substitution, verified by certificate.
+
+    chi fixes the reduced arrows, so chi(S_red) = S_red and only the images
+    of the trivial arrows are kept.  A round that corrects them by eps
+    changes c chi(x) chi(y) by c (eps_x chi(y) + (chi(x) + eps_x) eps_y) for
+    each trivial term c x y, so delta is updated by those changes and the
+    cycles moved into S_red; no round applies chi to a potential.  With no
+    degree-2 part, phi = id and the reduced part is the input, so the four
+    checks are noted as true without being computed."""
     space = qp.space
     q = qp.quiver
     n = qp.order
@@ -313,8 +326,8 @@ def split_reduce(qp: QP) -> SplitResult:
         """Take the least rotation of p led by a trivial arrow, cut off the
         lead arrow and add c times the rest to the correction of its
         partner."""
-        rots = [r for r in rotations(q, p) if r.arrows[0] in trivial_ids]
-        lead, *rest = min(rots, key=lambda r: r.arrows).arrows
+        w = p.arrows
+        lead, *rest = min(w[i:] + w[:i] for i in range(len(w)) if w[i] in trivial_ids)
         piece = Path(tuple(rest), q.tail(rest[-1]), q.head(rest[0]))
         aid = partner[lead]
         acc[aid] = acc.get(aid, space.zero()) + JetPoly(space, {piece: c})
@@ -324,31 +337,41 @@ def split_reduce(qp: QP) -> SplitResult:
         s_triv_jet = s_triv_jet + space.path((u, v))
     s_triv = cyclic_normalize(s_triv_jet)
 
-    if not cyclic_normalize(s1.degree2_part().jet - s_triv.jet).is_zero():
+    delta = cyclic_normalize(s1.jet - s_triv.jet)
+    if not delta.degree2_part().is_zero():
         raise CertificateError("degree-2 normalization failed")
 
-    # d is the least degree of the discrepancy.  chi fixes the reduced arrows
-    # and corrects a trivial arrow only by terms of degree d - 1, so each
-    # round changes the discrepancy only in degree d and above, and clears d.
-    chi = identity_substitution(space)
+    # A round corrects trivial arrows only by terms of degree d - 1, so it
+    # changes delta only in degree d and above, and clears d.
+    chi = {aid: space.arrow(aid) for aid in trivial_ids}
     s_red_jet = space.zero()
     for _ in range(n + 1):
-        delta = cyclic_normalize(s1.jet - apply_substitution(chi, s_triv.jet + s_red_jet))
         if delta.is_zero():
             break
         d = min(p.length for p in delta.terms())
-        additions: dict[str, JetPoly] = {}
+        moved: dict[Path, object] = {}
+        eps: dict[str, JetPoly] = {}
         for p, c in delta.terms().items():
             if p.length != d:
                 continue
             if trivial_ids.isdisjoint(p.arrows):
-                s_red_jet = s_red_jet + JetPoly(space, {p: c})
+                moved[p] = c
             else:
-                absorb(p, c, additions)
-        chi = substitution_from_images(
-            space,
-            chi.images | {aid: chi.images[aid] + corr for aid, corr in additions.items()},
-        )
+                absorb(p, c, eps)
+        moved_jet = JetPoly(space, moved)
+        s_red_jet = s_red_jet + moved_jet
+        # every trivial arrow lies in exactly one trivial term c x y, whose
+        # image changes by c (eps_x chi(y) + chi'(x) eps_y)
+        change = moved_jet
+        for p, c in s_triv.terms().items():
+            x, y = p.arrows
+            if x in eps:
+                change = change + (eps[x] * chi[y]).scale(c)
+                chi[x] = chi[x] + eps[x]
+            if y in eps:
+                change = change + (chi[x] * eps[y]).scale(c)
+                chi[y] = chi[y] + eps[y]
+        delta = cyclic_normalize(delta.jet - change)
     else:
         raise CertificateError("splitting construction exceeded the degree budget")
     s_red = Potential(s_red_jet)
@@ -359,7 +382,7 @@ def split_reduce(qp: QP) -> SplitResult:
     red_pot = _retype_potential(s_red, red_space)
     triv_space = JetSpace(trivial_quiver, n, qp.field)
     triv_pot = _retype_potential(s_triv, triv_space)
-    phi = compose_substitutions(lin_inv, chi)
+    phi = compose_substitutions(lin_inv, substitution_from_images(space, chi))
 
     cert = Report("split_reduce")
     cert.note("reduced part has zero degree-2 component", red_pot.degree2_part().is_zero())

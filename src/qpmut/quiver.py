@@ -177,18 +177,6 @@ def compose_paths(p: Path, q: Path) -> Path:
     return Path(p.arrows + q.arrows, q.tail, p.head)
 
 
-def rotations(quiver: Quiver, p: Path) -> list[Path]:
-    """All rotations of a cycle, as paths."""
-    if not p.is_cycle():
-        raise CompositionError("only cycles can be rotated")
-    d = p.length
-    out = []
-    for r in range(d):
-        word = p.arrows[r:] + p.arrows[:r]
-        out.append(Path(word, quiver.tail(word[-1]), quiver.head(word[0])))
-    return out
-
-
 def canonical_rotation(quiver: Quiver, p: Path) -> Path:
     """The lexicographically minimal rotation of a cycle (by arrow-id word);
     the words are compared first, and a path is built only for a new one."""

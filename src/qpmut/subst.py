@@ -1,10 +1,10 @@
 """Arrow substitutions: vertex-fixing ring morphisms between jet algebras.
 
-A substitution sends every arrow of its source quiver to a parallel jet over
-its target quiver and extends multiplicatively: the image of a path
-a1 a2 ... ad is the product of the images of its arrows, taken left to right,
-a lazy path maps to itself, and the images of all terms are summed at once,
-so no zero coefficient is stored.  It is invertible modulo
+A substitution sends every arrow of its source quiver, and no other, to a
+parallel jet over its target quiver and extends multiplicatively: the image
+of a path a1 a2 ... ad is the product of the images of its arrows, taken
+left to right, a lazy path maps to itself, and the images of all terms are
+summed at once, so no zero coefficient is stored.  It is invertible modulo
 m^(N+1) exactly when its linear part is, blockwise over parallel-arrow
 classes; the inverse is found by fixed-point iteration, which terminates
 because every correction gains degree.
@@ -20,7 +20,7 @@ from .errors import ContextError, InvariantError, NotInvertibleError
 from .fields import Field
 from .jets import JetPoly, JetSpace
 from .linalg import Mat
-from .quiver import Path, Quiver
+from .quiver import Arrow, Path, Quiver
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,9 @@ class ArrowSubstitution:
                     raise InvariantError(
                         f"image of {a.id!r} contains a non-parallel term {p!r}"
                     )
+        if len(self.images) != len(self.source.arrows):
+            extra = sorted(set(self.images) - {a.id for a in self.source.arrows})
+            raise InvariantError(f"images given for arrows not in the quiver: {extra!r}")
 
     @property
     def order(self) -> int:
@@ -66,10 +69,11 @@ def identity_substitution(space: JetSpace) -> ArrowSubstitution:
 
 
 def substitution_from_images(space: JetSpace, images: dict[str, JetPoly]) -> ArrowSubstitution:
-    """Build a substitution over ``space`` sending unlisted arrows to themselves."""
+    """Build a substitution over ``space`` sending unlisted arrows to
+    themselves; an image for an arrow the quiver lacks is rejected."""
     full = {a.id: images[a.id] if a.id in images else space.arrow(a.id)
             for a in space.quiver.arrows}
-    return ArrowSubstitution(space.quiver, space, full)
+    return ArrowSubstitution(space.quiver, space, full | images)
 
 
 def apply_substitution(phi: ArrowSubstitution, u: JetPoly) -> JetPoly:
@@ -103,10 +107,18 @@ def linear_images(space: JetSpace, ids: list[str], m: Mat) -> dict[str, JetPoly]
 def compose_substitutions(
     phi: ArrowSubstitution, psi: ArrowSubstitution
 ) -> ArrowSubstitution:
-    """(phi o psi)(a) = phi(psi(a))."""
+    """(phi o psi)(a) = phi(psi(a)); where psi fixes a, that is phi(a)."""
     if psi.target_space.quiver != phi.source:
         raise ContextError("substitutions do not compose")
-    images = {a.id: apply_substitution(phi, psi.images[a.id]) for a in psi.source.arrows}
+    one = psi.field.one
+
+    def image(a: Arrow) -> JetPoly:
+        u = psi.images[a.id]
+        if u.terms == {Path((a.id,), a.tail, a.head): one}:
+            return phi.images[a.id]
+        return apply_substitution(phi, u)
+
+    images = {a.id: image(a) for a in psi.source.arrows}
     return ArrowSubstitution(psi.source, phi.target_space, images)
 
 

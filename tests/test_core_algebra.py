@@ -22,7 +22,19 @@ from qpmut import (
     second_derivative,
     substitution_from_images,
 )
-from qpmut.quiver import Arrow, Path, Quiver, canonical_rotation, rotations
+from qpmut.quiver import Arrow, Path, Quiver, canonical_rotation
+
+
+def rotations(quiver: Quiver, p: Path) -> list[Path]:
+    """All rotations of a cycle, as paths."""
+    if not p.is_cycle():
+        raise CompositionError("only cycles can be rotated")
+    d = p.length
+    out = []
+    for r in range(d):
+        word = p.arrows[r:] + p.arrows[:r]
+        out.append(Path(word, quiver.tail(word[-1]), quiver.head(word[0])))
+    return out
 
 
 def test_compose_concatenates():

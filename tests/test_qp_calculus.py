@@ -8,6 +8,7 @@ from conftest import a2_qp, a3_line_qp, markov_qp, markov_quiver, MARKOV_K
 from qpmut import docio
 from qpmut import (
     Arrow,
+    JetPoly,
     JetSpace,
     MutationNotDefined,
     Potential,
@@ -26,13 +27,15 @@ from qpmut import (
     probe_nondegeneracy,
     same_up_to_vertex_fixing_iso,
     split_reduce,
+    substitution_from_images,
 )
+from qpmut import qp as qp_module, subst
 from qpmut.fields import GF
 from qpmut.generate import _random_cycles, random_qp
 from qpmut.linalg import Mat
 from qpmut.mutation import double_premutation_equiv, double_premutation_potential_identity
 from qpmut.qp import _linear_normalization, _pivot_normal_form
-from qpmut.subst import compose_substitutions, invert_substitution
+from qpmut.subst import compose_substitutions, identity_substitution, invert_substitution
 
 
 def test_premutate_markov_quiver():
@@ -249,6 +252,91 @@ def test_split_reduce_random_certificates():
         sr = split_reduce(qp)
         assert sr.certificate.ok
         done += 1
+
+
+def _split_reduce_reference(qp):
+    """The reduction loop that re-applies chi to S_triv + S_red in every
+    round.  Returns the reduced and trivial potentials' terms, the
+    splitting's images (phi(a) = L^-1(chi(a)), applied arrow by arrow) and
+    the number of rounds."""
+    space = qp.space
+    lin_sub, lin_inv, pairs = _linear_normalization(qp)
+    s1 = cyclic_normalize(apply_substitution(lin_sub, qp.potential.jet))
+    partner = {u: v for u, v in pairs} | {v: u for u, v in pairs}
+    s_triv = cyclic_normalize(sum((space.path((u, v)) for u, v in pairs), space.zero()))
+    chi = identity_substitution(space)
+    s_red = space.zero()
+    rounds = 0
+    while True:
+        delta = cyclic_normalize(s1.jet - apply_substitution(chi, s_triv.jet + s_red))
+        if delta.is_zero():
+            break
+        rounds += 1
+        assert rounds <= qp.order
+        d = min(p.length for p in delta.terms())
+        images = dict(chi.images)
+        for p, c in delta.terms().items():
+            if p.length != d:
+                continue
+            if partner.keys().isdisjoint(p.arrows):
+                s_red = s_red + JetPoly(space, {p: c})
+            else:
+                w = p.arrows
+                lead, *rest = min(w[i:] + w[:i] for i in range(len(w)) if w[i] in partner)
+                images[partner[lead]] = images[partner[lead]] + space.path(rest).scale(c)
+        chi = substitution_from_images(space, images)
+    phi = {aid: apply_substitution(lin_inv, img).terms for aid, img in chi.images.items()}
+    return s_red.terms, s_triv.terms(), phi, rounds
+
+
+def _reference_corpus():
+    # criterion 2's corpus, a batch over GF(7), and criterion 2's corpus at
+    # order 15
+    for field, order, seed, count in ((QQ, 12, 20240001, 200), (GF(7), 12, 77, 100),
+                                      (QQ, 15, 20240001, 200)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield random_qp(rng, max_vertices=5, max_arrows=10, max_terms=8,
+                            max_len=5, order=order, field=field)
+
+
+def test_split_reduce_matches_the_reference_that_reapplies_chi_every_round():
+    rounds = []
+    for qp in _reference_corpus():
+        sr = split_reduce(qp)
+        red, triv, phi, r = _split_reduce_reference(qp)
+        assert sr.reduced.potential.terms() == red
+        assert sr.trivial.potential.terms() == triv
+        assert {aid: img.terms for aid, img in sr.splitting.images.items()} == phi
+        rounds.append(r)
+    # not vacuous: many reductions take more than one round
+    assert sum(r > 1 for r in rounds) > 50 and max(rounds) >= 4
+
+
+def test_split_reduce_applies_substitutions_a_fixed_number_of_times(monkeypatch):
+    # a b + sum_{j <= m} (e c a)^j needs m rounds, one per degree 3j; the
+    # number of substitutions applied must not grow with m
+    q = Quiver(
+        (1, 2, 3),
+        (Arrow("a", 1, 2), Arrow("b", 2, 1), Arrow("c", 2, 3), Arrow("e", 3, 1)),
+    )
+    space = JetSpace(q, 12, QQ)
+    apply = subst.apply_substitution
+    counts = []
+    for m in range(1, 5):
+        jet = space.path(("a", "b"))
+        for j in range(1, m + 1):
+            jet = jet + space.path(("e", "c", "a") * j)
+        qp = QP(q, cyclic_normalize(jet))
+        assert _split_reduce_reference(qp)[3] == m
+        calls = []
+        with monkeypatch.context() as mp:
+            for module in (subst, qp_module):
+                mp.setattr(module, "apply_substitution", lambda *a: calls.append(1) or apply(*a))
+            assert split_reduce(qp).certificate.ok
+        counts.append(len(calls))
+    # the normalization, phi(b) and the certificate
+    assert counts == [3, 3, 3, 3]
 
 
 def test_mutate_qp_markov():

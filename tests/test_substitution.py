@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import markov_quiver
 from qpmut import (
+    GF,
     Arrow,
     ArrowSubstitution,
+    InvariantError,
     JetSpace,
     NotInvertibleError,
     QQ,
@@ -228,3 +230,52 @@ def test_substitution_from_images_builds_only_the_missing_arrows(monkeypatch):
     assert sorted(built) == ["a2", "b2", "c1", "c2"]
     assert phi.images["a1"] is images["a1"] and phi.images["b1"] is images["b1"]
     assert all(phi.images[a] == arrow(s, a) for a in built)
+
+
+def test_a_substitution_rejects_images_of_arrows_its_quiver_lacks():
+    s = JetSpace(markov_quiver(), 5, QQ)
+    with pytest.raises(InvariantError, match="'zz'"):
+        substitution_from_images(s, {"zz": s.arrow("a1")})
+    images = identity_substitution(s).images | {"zz": s.arrow("a1")}
+    with pytest.raises(InvariantError, match="'zz'"):
+        ArrowSubstitution(s.quiver, s, images)
+
+
+def _random_image(rng, space, a):
+    # a random combination of paths parallel to a, of length 1 to 4, found
+    # by walking backwards from a's head
+    q = space.quiver
+    jet = space.zero()
+    for _ in range(8):
+        word, v = [], a.head
+        for _ in range(rng.randint(1, 4)):
+            b = rng.choice(q.arrows_into(v))
+            word.append(b.id)
+            v = b.tail
+        if v == a.tail:
+            jet = jet + space.path(word).scale(space.field.of(rng.choice([-2, -1, 1, 2, 3])))
+    return jet
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "Fp:7"])
+def test_compose_substitutions_applies_phi_to_every_image_of_psi(field):
+    # psi fixes a random subset of arrows; the others go to a multiple of
+    # themselves (fixed only when the multiple is 1) or to a random image
+    rng = random.Random(41)
+    space = JetSpace(premutate_quiver(markov_quiver(), 3), 6, field)
+    arrows = space.quiver.arrows
+    for _ in range(30):
+        phi = ArrowSubstitution(space.quiver, space, {a.id: _random_image(rng, space, a) for a in arrows})
+        images = {}
+        for a in arrows:
+            kind = rng.randrange(3)
+            if kind == 0:
+                images[a.id] = space.arrow(a.id)
+            elif kind == 1:
+                images[a.id] = space.arrow(a.id).scale(field.of(rng.choice([2, 3, -1])))
+            else:
+                images[a.id] = _random_image(rng, space, a)
+        psi = ArrowSubstitution(space.quiver, space, images)
+        comp = compose_substitutions(phi, psi)
+        for a in arrows:
+            assert comp.images[a.id] == apply_substitution(phi, psi.images[a.id])
