@@ -2,9 +2,12 @@
 
 Every computation in the engine runs over exactly one field object.  Field
 elements are plain values supporting ``+ - *``, ``==`` and ``bool``.  A
-rational is an ``int``, or a ``fractions.Fraction`` when a denominator is
-needed; the two mix exactly, and agree in ``==``, ``hash`` and ``str`` on
-integral values.  An element of a prime field is an :class:`FpElem`.
+rational is an ``int`` or a ``fractions.Fraction``, and both types occur for
+the same integral value: parsing and ``of`` give ints, but ``Fraction``
+arithmetic returns integral Fractions (in products, eliminations and the
+bases read off them).  No result may depend on which type a value has: the
+two mix exactly, and agree in ``==``, ``hash`` and ``str`` on integral
+values.  An element of a prime field is an :class:`FpElem`.
 Division goes only through :meth:`Field.inv`, because ``int / int`` is a
 float; no floating point is used anywhere.
 """

@@ -33,9 +33,23 @@ class HomSpace:
 
 
 def hom_space(m: DecRep, n: DecRep) -> HomSpace:
-    """Solve the intertwining equations g_head . a_M = a_N . g_tail exactly."""
+    """Solve the intertwining equations g_head . a_M = a_N . g_tail exactly.
+
+    When m and n have equal dimensions and maps, the system is End(m)'s: it
+    is solved once, stored on both modules and shared by every later call on
+    either, so the returned space must not be changed."""
     if not m.same_context(n):
         raise ContextError("modules live over different QPs")
+    if m.dims != n.dims or m.maps != n.maps:
+        return _solve(m, n)
+    end = m._end if m._end is not None else n._end
+    if end is None:
+        end = _solve(m, n)
+    m._end = n._end = end
+    return end
+
+
+def _solve(m: DecRep, n: DecRep) -> HomSpace:
     fld = m.field
     verts = list(m.qp.quiver.vertices)
     offsets = {}
@@ -124,7 +138,8 @@ def is_isomorphic(m: DecRep, n: DecRep, seed: int = 0) -> IsoResult:
     # deterministic first attempts: single basis elements
     for b in hom_mn.basis:
         if is_isomorphism(m, n, b):
-            return IsoResult(YES, certificate=b, seed=seed)
+            # a copy: the basis may be the End(m) stored on both modules
+            return IsoResult(YES, certificate=dict(b), seed=seed)
 
     for trial in range(ISO_TRIES):
         bound = 1 + trial // 8

@@ -4,9 +4,10 @@ A DecRep stores per-vertex dimensions, per-arrow exact matrices (shape
 dim_head x dim_tail; matrices act on column vectors, rightmost arrow first)
 and decoration dimensions.  Valid modules are nilpotent and annihilated by
 every cyclic derivative of the potential.  A module stores what depends on
-it alone when first computed: its nilpotency index, and at each vertex its
-triangle and the composites M_b @ M_a through it.  A triangle injected into
-``premutate_rep`` is never stored.
+it alone when first computed: its nilpotency index, its endomorphism space
+End(M) (shared with any module of equal maps, see ``homs.hom_space``), and at
+each vertex its triangle and the composites M_b @ M_a through it.  A triangle
+injected into ``premutate_rep`` is never stored.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class DecRep:
         self._nilpotency_index: int | None = None
         self._triangles: dict[int, TrianglePack] = {}
         self._composites: dict[int, dict[str, Mat]] = {}
+        self._end = None  # End(self) as a homs.HomSpace, stored by hom_space
 
     @property
     def field(self):

@@ -343,6 +343,26 @@ def test_cli_rejects_flags_a_subcommand_does_not_read():
     assert main(["mutate-qp", "--in", fixture("markov.json"), "--at", "3", "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize("suite", ["module", "triangle", "fourway", "duality"])
+def test_cli_verify_rejects_a_seed_its_suite_does_not_read(capsys, suite):
+    rep = fixture("markov_rep.json")
+    for seed in ("5", "0"):
+        assert main(["verify", "--in", rep, "--suite", suite, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"suite {suite}" in captured.err
+    assert main(["verify", "--in", rep, "--suite", suite]) == 0
+    assert capsys.readouterr().out.endswith(f"OK suite={suite} seed=0\n")
+
+
+def test_cli_verify_involution_reads_its_seed(capsys):
+    rep = fixture("markov_rep.json")
+    assert main(["verify", "--in", rep, "--suite", "involution", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict=YES seed=5" in out and out.endswith("OK suite=involution seed=5\n")
+    assert main(["verify", "--in", rep, "--suite", "involution"]) == 0
+    assert capsys.readouterr().out.endswith("OK suite=involution seed=0\n")
+
+
 @pytest.mark.parametrize("command,infile", [("mutate-qp", "markov.json"),
                                             ("mutate-rep", "markov_rep.json")])
 def test_cli_mutation_vertices_are_never_ignored(capsys, command, infile):

@@ -517,3 +517,28 @@ def test_storage_boundary_check_sees_violations(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("m.data[0][1] = x\nm.data = y\nz = m._nz\nm.data[2][0] += 1\n")
     assert len(_storage_violations(bad)) == 4
+
+
+def test_integral_fractions_from_rref_and_products_emit_and_hash_like_ints():
+    """Both rational types occur for one integral value; only ``type`` tells
+    them apart."""
+    from conftest import a2_qp
+    from qpmut import DecRep, docio
+
+    def integral_fractions(m):
+        return [x for _, _, x in m.nonzeros() if type(x) is Fraction and x.denominator == 1]
+
+    R, _ = Mat.from_int_rows(QQ, [[2, 4, 6], [1, 3, 5]]).rref()
+    prod = Mat(QQ, [[Fraction(1, 2), Fraction(3, 2)]]) @ Mat.from_int_rows(QQ, [[4], [2]])
+    made = integral_fractions(R) + integral_fractions(prod)
+    assert made == [-1, 2, 5] and integral_fractions(prod)
+
+    def emitted(x):
+        rep = DecRep(a2_qp(), {1: 1, 2: 1}, {"a": Mat(QQ, [[x]])}, {1: 0, 2: 0})
+        return docio.dumps(docio.emit_decrep(rep))
+
+    for x in made:
+        n = int(x)
+        assert x == n and hash(x) == hash(n) and {x: "f"}[n] == "f"
+        assert QQ.to_str(x) == QQ.to_str(n) == str(n)
+        assert emitted(x) == emitted(n)
