@@ -144,11 +144,8 @@ def truncated_projective(qp: QP, ell: int, power: int) -> DecRep:
     reps = {}
     for v in q.vertices:
         n = len(by_head[v])
-        gen_mat = (
-            Mat(fld, [[col[i] for col in gens_by_head[v]] for i in range(n)])
-            if gens_by_head[v]
-            else Mat.zero(fld, n, 0)
-        )
+        gens = gens_by_head[v]
+        gen_mat = Mat.from_rows(fld, [{c: col[i] for c, col in enumerate(gens)} for i in range(n)], len(gens))
         basis = gen_mat.image_basis()
         _, proj, sec = subspace_package(basis)
         dims[v] = proj.rows
@@ -185,8 +182,6 @@ def direct_sum(reps: list[DecRep]) -> DecRep:
 
 
 def random_invertible(rng: random.Random, fld, n: int) -> Mat:
-    if n == 0:
-        return Mat.zero(fld, 0, 0)
     while True:
         m = Mat(fld, [[fld.of(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
         if m.is_invertible():
@@ -275,15 +270,8 @@ def random_rep_zero_potential(qp: QP, rng: random.Random, max_dim: int = 3) -> D
     fld = qp.field
     dims = {v: rng.randint(0, max_dim) for v in qp.quiver.vertices}
     maps = {
-        a.id: Mat(
-            fld,
-            [
-                [fld.of(rng.randint(-2, 2)) for _ in range(dims[a.tail])]
-                for _ in range(dims[a.head])
-            ],
-        )
-        if dims[a.head] and dims[a.tail]
-        else Mat.zero(fld, dims[a.head], dims[a.tail])
+        a.id: Mat.from_rows(fld, [{j: fld.of(rng.randint(-2, 2)) for j in range(dims[a.tail])}
+                                  for _ in range(dims[a.head])], dims[a.tail])
         for a in qp.quiver.arrows
     }
     dec = {v: rng.randint(0, 2) for v in qp.quiver.vertices}

@@ -1,19 +1,24 @@
 """Exact linear algebra over a field.
 
-A matrix stores its rows as ``{col: value}`` dicts of their nonzeros, with an
-explicit shape, so rows and columns may be zero-sized and every operation
-costs the nonzeros it visits, not the cells.  No zero is stored, and a row
-dict is never changed once its matrix is built, so matrices share rows.  Only
-this module sees the dicts; ``nonzeros()`` yields ``(i, j, x)`` for every
-nonzero to other modules.  Elimination keeps a column index, the set of rows
-with a nonzero in each column, so it too costs the nonzeros it touches.  It
-returns the reduced row echelon form, which is unique: every answer is read
-off one RREF, so every basis, retraction and quotient produced here is
+A matrix stores ``{i: {j: x}}``, only its nonempty rows, each a dict of its
+nonzeros, in ascending row order, with an explicit shape.  No zero and no
+empty row is stored, and a row dict is never changed once its matrix is
+built, so matrices share rows.  Every operation visits the stored rows only,
+so it costs the nonzeros it reads and writes, never rows x columns: a zero
+matrix of any shape is an empty dict, built, compared, added, multiplied and
+transposed in O(1).  ``take_rows`` and ``take_cols`` also cost their index
+lists, ``T``, ``+`` and ``hstack`` the sort of the rows they make, and a
+kernel basis the columns it has (it is the identity at the free columns).
+Only this module sees the dicts; ``nonzeros()`` yields ``(i, j, x)`` for
+every nonzero to other modules.  Elimination keeps a column index, the set of
+rows with a nonzero in each column, so it too costs the nonzeros it touches.
+It returns the reduced row echelon form, which is unique: every answer is
+read off one RREF, so every basis, retraction and quotient produced here is
 deterministic whatever the elimination order.  A kernel basis comes with its
 retraction: the basis is the identity at the free columns, so the identity's
 rows at those columns give the coordinates of any kernel vector.  The
-complement of a subspace is spanned by the standard basis vectors at the pivot
-columns of [basis | I] past the basis itself.
+complement of a subspace is spanned by the standard basis vectors at the
+pivot columns of [basis | I] past the basis itself.
 """
 
 from __future__ import annotations
@@ -31,13 +36,14 @@ class Mat:
         if any(len(r) != cols for r in data):
             raise ShapeError("ragged rows")
         self.field, self.rows, self.cols = field, len(data), cols
-        self._nz = [{j: x for j, x in enumerate(r) if x} for r in data]
+        self._nz = {i: s for i, r in enumerate(data) if (s := {j: x for j, x in enumerate(r) if x})}
 
     @staticmethod
-    def _of(field: Field, nz: list[dict], cols: int) -> "Mat":
-        """Wrap row dicts that hold no zero and are not changed afterwards."""
+    def _of(field: Field, nz: dict, rows: int, cols: int) -> "Mat":
+        """Wrap a row table that holds no zero and no empty row, in ascending
+        row order, whose rows are not changed afterwards."""
         m = Mat.__new__(Mat)
-        m.field, m.rows, m.cols, m._nz = field, len(nz), cols, nz
+        m.field, m.rows, m.cols, m._nz = field, rows, cols, nz
         return m
 
     # -- constructors -------------------------------------------------
@@ -45,19 +51,19 @@ class Mat:
     def from_rows(field: Field, rows: list[dict], cols: int) -> "Mat":
         """The matrix whose row i has the entries ``rows[i]`` ({col: x});
         zero values are dropped and the dicts are not kept."""
-        nz = [{j: x for j, x in r.items() if x} for r in rows]
-        if any(not 0 <= j < cols for r in nz for j in r):
+        nz = {i: s for i, r in enumerate(rows) if (s := {j: x for j, x in r.items() if x})}
+        if any(not 0 <= j < cols for r in nz.values() for j in r):
             raise ShapeError("column index out of range")
-        return Mat._of(field, nz, cols)
+        return Mat._of(field, nz, len(rows), cols)
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Mat":
-        return Mat._of(field, [{} for _ in range(rows)], cols)
+        return Mat._of(field, {}, rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
         one = field.one
-        return Mat._of(field, [{i: one} for i in range(n)], n)
+        return Mat._of(field, {i: {i: one} for i in range(n)}, n, n)
 
     @staticmethod
     def from_int_rows(field: Field, rows: list[list[int]]) -> "Mat":
@@ -67,25 +73,22 @@ class Mat:
     def entry(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeError("entry index out of range")
-        return self._nz[i].get(j, self.field.zero)
+        return (self._nz.get(i) or {}).get(j, self.field.zero)
 
     @property
     def data(self) -> tuple[tuple, ...]:
         """Row-major read-only view: a tuple of rows, each a tuple of all
         ``cols`` entries."""
-        z = self.field.zero
-        out = []
-        for r in self._nz:
-            row = [z] * self.cols
+        out = [[self.field.zero] * self.cols for _ in range(self.rows)]
+        for i, r in self._nz.items():
             for j, x in r.items():
-                row[j] = x
-            out.append(tuple(row))
-        return tuple(out)
+                out[i][j] = x
+        return tuple(map(tuple, out))
 
     def nonzeros(self):
         """Yield ``(i, j, x)`` for each nonzero x at row i, column j, row by
-        row."""
-        for i, r in enumerate(self._nz):
+        row in ascending row order."""
+        for i, r in self._nz.items():
             for j, x in r.items():
                 yield i, j, x
 
@@ -104,19 +107,26 @@ class Mat:
         return f"Mat[{body}]"
 
     def is_zero(self) -> bool:
-        return not any(self._nz)
+        return not self._nz
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(r == {i: self.field.one} for i, r in enumerate(self._nz))
+        one = self.field.one
+        return self.rows == self.cols == len(self._nz) and all(r == {i: one} for i, r in self._nz.items())
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("add shape mismatch")
-        out = []
-        for a, b in zip(self._nz, other._nz):
-            if not (a and b):
-                out.append(a or b)
+        left, right = self._nz, other._nz
+        if not right:
+            return self
+        if not left:
+            return other
+        out = {}
+        for i in sorted(left.keys() | right.keys()):
+            a, b = left.get(i), right.get(i)
+            if a is None or b is None:
+                out[i] = a or b
                 continue
             r = dict(a)
             for j, y in b.items():
@@ -126,60 +136,66 @@ class Mat:
                     r[j] = x
                 else:
                     del r[j]
-            out.append(r)
-        return Mat._of(self.field, out, self.cols)
+            if r:
+                out[i] = r
+        return Mat._of(self.field, out, self.rows, self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        return Mat._of(self.field, [{j: -x for j, x in r.items()} for r in self._nz], self.cols)
+        out = {i: {j: -x for j, x in r.items()} for i, r in self._nz.items()}
+        return Mat._of(self.field, out, self.rows, self.cols)
 
     def scale(self, c) -> "Mat":
         if not c:
             return Mat.zero(self.field, self.rows, self.cols)
-        out = [r and {j: c * x for j, x in r.items()} for r in self._nz]  # empty rows are shared
-        return Mat._of(self.field, out, self.cols)
+        if c == self.field.one:
+            return self
+        out = {i: {j: c * x for j, x in r.items()} for i, r in self._nz.items()}
+        return Mat._of(self.field, out, self.rows, self.cols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """Each left row's nonzeros pick the right rows whose nonzeros they
-        combine."""
+        """Each stored left row's nonzeros pick the stored right rows whose
+        nonzeros they combine."""
         if self.cols != other.rows:
             raise ShapeError(f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         right = other._nz
-        out = []
-        for row in self._nz:
-            if not row:
-                out.append(row)
-                continue
+        out = {}
+        for i, row in self._nz.items():
             acc: dict = {}
             for k, a in row.items():
+                if k not in right:
+                    continue
                 for j, y in right[k].items():
                     x = acc.get(j)
                     acc[j] = a * y if x is None else x + a * y
-            out.append({j: x for j, x in acc.items() if x})
-        return Mat._of(self.field, out, other.cols)
+            acc = {j: x for j, x in acc.items() if x}
+            if acc:
+                out[i] = acc
+        return Mat._of(self.field, out, self.rows, other.cols)
 
     @property
     def T(self) -> "Mat":
-        out: list[dict] = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self._nz):
+        out: dict[int, dict] = {}
+        for i, r in self._nz.items():
             for j, x in r.items():
-                out[j][i] = x
-        return Mat._of(self.field, out, self.rows)
+                out.setdefault(j, {})[i] = x
+        return Mat._of(self.field, dict(sorted(out.items())), self.cols, self.rows)
 
     def take_cols(self, idx: list[int]) -> "Mat":
         """The columns ``idx`` (distinct), in that order."""
         new = {j: c for c, j in enumerate(idx)}
         if len(new) != len(idx) or any(not 0 <= j < self.cols for j in new):
             raise ShapeError("take_cols needs distinct column indices in range")
-        out = [{new[j]: x for j, x in r.items() if j in new} for r in self._nz]
-        return Mat._of(self.field, out, len(idx))
+        out = {i: s for i, r in self._nz.items() if (s := {new[j]: x for j, x in r.items() if j in new})}
+        return Mat._of(self.field, out, self.rows, len(idx))
 
     def take_rows(self, idx: list[int]) -> "Mat":
         if any(not 0 <= i < self.rows for i in idx):
             raise ShapeError("take_rows needs row indices in range")
-        return Mat._of(self.field, [self._nz[i] for i in idx], self.cols)
+        nz = self._nz
+        return Mat._of(self.field, {c: nz[i] for c, i in enumerate(idx) if i in nz}, len(idx), self.cols)
 
     # -- elimination ---------------------------------------------------
     def rref(self) -> tuple["Mat", list[int]]:
@@ -189,9 +205,9 @@ class Mat:
         there, kept up to date on fill-in and cancellation.  Each pivot step
         touches only the rows in the pivot column's set, and in them only the
         pivot row's nonzero columns: never rows x columns."""
-        one, rows = self.field.one, [dict(r) for r in self._nz]
+        one, rows = self.field.one, {i: dict(r) for i, r in self._nz.items()}
         where: dict[int, set[int]] = {}
-        for i, r in enumerate(rows):
+        for i, r in rows.items():
             for j in r:
                 where.setdefault(j, set()).add(i)
         # fill-in lands only in columns where the pivot row is nonzero, so no
@@ -224,8 +240,8 @@ class Mat:
                     else:
                         del r[j]
                         where[j].remove(i)
-        out = [rows[p] for p in done] + [{} for _ in range(self.rows - len(done))]
-        return Mat._of(self.field, out, self.cols), list(done.values())
+        out = {c: rows[p] for c, p in enumerate(done)}
+        return Mat._of(self.field, out, self.rows, self.cols), list(done.values())
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -247,10 +263,8 @@ class Mat:
         R, pivots = hstack(self.field, [self, b], rows=self.rows).rref()
         if pivots and pivots[-1] >= n:
             return None
-        out: list[dict] = [{} for _ in range(n)]
-        for r, pc in zip(R._nz, pivots):
-            out[pc] = {j - n: x for j, x in r.items() if j >= n}
-        return Mat._of(self.field, out, b.cols)
+        out = {pc: s for r, pc in zip(R._nz.values(), pivots) if (s := {j - n: x for j, x in r.items() if j >= n})}
+        return Mat._of(self.field, out, n, b.cols)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -264,9 +278,10 @@ class Mat:
         """Square and of full rank.  A square matrix with an empty row is
         singular, and a monomial one (one nonzero per row, in distinct
         columns; 0x0 and identities too) invertible, without elimination."""
-        if self.rows != self.cols or not all(self._nz):
+        nz = self._nz
+        if self.rows != self.cols or len(nz) != self.rows:
             return False
-        if sum(map(len, self._nz)) == self.rows == len({j for r in self._nz for j in r}):
+        if sum(map(len, nz.values())) == self.rows == len({j for r in nz.values() for j in r}):
             return True
         return self.rank() == self.rows
 
@@ -278,13 +293,12 @@ def kernel_from_rref(R: Mat, pivots: list[int]) -> tuple[Mat, Mat]:
     of a kernel vector, so retraction @ basis = I and it is zero at the
     pivot columns."""
     one = R.field.one
-    pivot_set = set(pivots)
-    free = {j: c for c, j in enumerate(j for j in range(R.cols) if j not in pivot_set)}
-    out: list[dict] = [{free[j]: one} if j in free else {} for j in range(R.cols)]
-    for r, pc in zip(R._nz, pivots):
-        out[pc] = {free[j]: -x for j, x in r.items() if j != pc}
-    retraction = Mat._of(R.field, [{j: one} for j in free], R.cols)
-    return Mat._of(R.field, out, len(free)), retraction
+    pivot_rows = dict(zip(pivots, R._nz.values()))
+    free = {j: c for c, j in enumerate(j for j in range(R.cols) if j not in pivot_rows)}
+    out = {j: s for j in range(R.cols)
+           if (s := {free[j]: one} if j in free else {free[k]: -x for k, x in pivot_rows[j].items() if k != j})}
+    retraction = Mat._of(R.field, {c: {j: one} for j, c in free.items()}, len(free), R.cols)
+    return Mat._of(R.field, out, R.cols, len(free)), retraction
 
 
 # -- block assembly ----------------------------------------------------
@@ -296,19 +310,15 @@ def hstack(field: Field, mats: list[Mat], rows: int | None = None) -> Mat:
     r = mats[0].rows
     if any(m.rows != r for m in mats):
         raise ShapeError("hstack row mismatch")
-    offsets = []
+    out: dict[int, dict] = {}
     total = 0
     for m in mats:
-        offsets.append(total)
+        for i, row in m._nz.items():
+            acc = out.setdefault(i, {})
+            for j, x in row.items():
+                acc[total + j] = x
         total += m.cols
-    out = []
-    for i in range(r):
-        row = {}
-        for m, o in zip(mats, offsets):
-            for j, x in m._nz[i].items():
-                row[o + j] = x
-        out.append(row)
-    return Mat._of(field, out, total)
+    return Mat._of(field, dict(sorted(out.items())), r, total)
 
 
 def vstack(field: Field, mats: list[Mat], cols: int | None = None) -> Mat:
@@ -319,7 +329,13 @@ def vstack(field: Field, mats: list[Mat], cols: int | None = None) -> Mat:
     c = mats[0].cols
     if any(m.cols != c for m in mats):
         raise ShapeError("vstack column mismatch")
-    return Mat._of(field, [r for m in mats for r in m._nz], c)
+    out = {}
+    ro = 0
+    for m in mats:
+        for i, row in m._nz.items():
+            out[ro + i] = row
+        ro += m.rows
+    return Mat._of(field, out, ro, c)
 
 
 def block_matrix(field: Field, grid: list[list[Mat]]) -> Mat:
@@ -328,12 +344,14 @@ def block_matrix(field: Field, grid: list[list[Mat]]) -> Mat:
 
 def block_diag(field: Field, mats: list[Mat]) -> Mat:
     """The block-diagonal matrix with ``mats`` along the diagonal, in order."""
-    out = []
-    co = 0
+    out = {}
+    ro = co = 0
     for m in mats:
-        out += [{co + j: x for j, x in r.items()} for r in m._nz]
+        for i, r in m._nz.items():
+            out[ro + i] = {co + j: x for j, x in r.items()} if co else r
+        ro += m.rows
         co += m.cols
-    return Mat._of(field, out, co)
+    return Mat._of(field, out, ro, co)
 
 
 # -- subspaces ---------------------------------------------------------

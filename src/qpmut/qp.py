@@ -432,11 +432,7 @@ def _is_trivial_qp(qp: QP) -> bool:
         for p, c in d.terms.items():
             vec[index[p.arrows[0]]] = vec[index[p.arrows[0]]] + c
         cols.append(vec)
-    span = (
-        Mat(fld, [[col[i] for col in cols] for i in range(len(ids))])
-        if cols
-        else Mat.zero(fld, len(ids), 0)
-    )
+    span = Mat.from_rows(fld, [{c: col[i] for c, col in enumerate(cols)} for i in range(len(ids))], len(cols))
     return span.rank() == len(ids)
 
 

@@ -6,13 +6,14 @@ import os
 import re
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import markov_qp, MARKOV_K
-from qpmut import DecRep, InvariantError, QQ, QpmutError, SchemaError, GF
+from qpmut import DecRep, InvariantError, QQ, QpmutError, SchemaError, GF, check_module
 from qpmut import docio
 from qpmut.cli import main
 from qpmut.generate import random_valid_module
@@ -534,19 +535,49 @@ def test_loads_raises_only_engine_errors(text):
         pass
 
 
+def _markov_with_declared_dims(n: int) -> str:
+    """The Markov fixture with dims {n, n, n} and no matrices."""
+    with open(fixture("markov_rep.json")) as f:
+        doc = json.load(f)
+    doc["payload"]["dims"] = {"1": n, "2": n, "3": n}
+    del doc["payload"]["matrices"]
+    return json.dumps(doc)
+
+
 def test_load_cost_does_not_grow_with_declared_dims_squared():
     """A document that declares large dimensions and no matrices loads in
     time that grows with the dimensions, not with the cells of its zero maps."""
-    with open(fixture("markov_rep.json")) as f:
-        doc = json.load(f)
-    doc["payload"]["dims"] = {"1": 1000, "2": 1000, "3": 1000}
-    del doc["payload"]["matrices"]
-    text = json.dumps(doc)
+    text = _markov_with_declared_dims(1000)
     t0 = time.perf_counter()
     rep = docio.loads(text)
     assert time.perf_counter() - t0 < 0.5
     assert rep.dims == {1: 1000, 2: 1000, 3: 1000}
     assert all(m.is_zero() and (m.rows, m.cols) == (1000, 1000) for m in rep.maps.values())
+
+
+def test_load_cost_does_not_grow_with_declared_dims():
+    """Declared dimensions cost nothing once parsed: a module with dims
+    {10^6}^3 and zero maps loads and passes check_module at once, in little
+    memory, because a zero map stores no row."""
+    text = _markov_with_declared_dims(10**6)
+
+    def load_and_check():
+        rep = docio.loads(text)
+        assert check_module(rep).ok
+        return rep
+
+    t0 = time.perf_counter()
+    rep = load_and_check()
+    assert time.perf_counter() - t0 < 0.1
+    assert rep.dims == {1: 10**6, 2: 10**6, 3: 10**6}
+    assert all(m.is_zero() and (m.rows, m.cols) == (10**6, 10**6) for m in rep.maps.values())
+    tracemalloc.start()
+    try:
+        load_and_check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_scalar_conversion_costs_distinct_values_not_cells(monkeypatch):

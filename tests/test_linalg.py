@@ -3,6 +3,7 @@ a plain Gauss-Jordan reference over F_p."""
 
 import ast
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -386,12 +387,15 @@ def _ref_mul(field, a, b, inner):
 
 
 def _check(m, ref, shape):
-    """``m`` has ``shape``, its dense view is ``ref``, and it stores no zero:
-    rebuilding it from its dense view gives the same matrix."""
+    """``m`` has ``shape`` and the dense view ``ref``, stores no zero and no
+    empty row (a matrix rebuilt from ``ref`` stores neither), and yields its
+    nonzeros row by row in ascending row order."""
     assert (m.rows, m.cols) == shape
     assert m.data == tuple(tuple(r) for r in ref)
-    if m.rows:
-        assert m == Mat(m.field, m.data)
+    assert m == Mat.from_rows(m.field, [dict(enumerate(r)) for r in ref], m.cols)
+    seen = [i for i, _, _ in m.nonzeros()]
+    assert seen == sorted(seen)
+    assert m.is_zero() == (not seen)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
@@ -463,6 +467,104 @@ def test_empty_shapes_survive_every_operation(field, n):
         assert inner == full
         assert sum(map(bool, sum(d.data, ()))) == sum(map(bool, sum(full.data, ())))
         assert a == Mat.zero(field, r, c) and a != Mat.zero(field, r + 1, c)
+
+
+def _mostly_empty(rng, rows, cols):
+    """Small ints in a quarter of the rows and two thirds of the columns, so
+    that most rows and some columns are empty."""
+    live_rows = set(rng.sample(range(rows), max(1, rows // 4))) if rows else set()
+    live_cols = set(rng.sample(range(cols), cols - cols // 3))
+    return [[rng.choice([-2, -1, 1, 2]) if i in live_rows and j in live_cols and rng.random() < 0.6 else 0
+             for j in range(cols)] for i in range(rows)]
+
+
+def _of_ints(field, ints, cols):
+    return Mat.from_rows(field, [{j: field.of(x) for j, x in enumerate(r) if x} for r in ints], cols)
+
+
+def _ref_rank(field, dense):
+    ints = [[x.v if hasattr(x, "v") else x for x in r] for r in dense]
+    if field == QQ:
+        return sympy.Matrix(ints).rank() if ints and ints[0] else 0
+    return len(_gauss_jordan_mod(ints, len(ints[0]) if ints else 0, field.p)[1])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "Fp7"])
+def test_row_table_matches_dense_reference_with_empty_rows_and_columns(field):
+    rng = random.Random(31)
+    z = field.zero
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1)] + [(rng.randint(1, 14), rng.randint(1, 14)) for _ in range(40)]
+    for r, k in shapes:
+        s = rng.randint(0, 6)
+        ai, bi, ci = _mostly_empty(rng, r, k), _mostly_empty(rng, r, k), _mostly_empty(rng, k, s)
+        a, b, c = _of_ints(field, ai, k), _of_ints(field, bi, k), _of_ints(field, ci, s)
+        ad, bd, cd = [list(u) for u in a.data], [list(u) for u in b.data], [list(u) for u in c.data]
+        assert [[field.of(x) for x in u] for u in ai] == ad
+        _check(a + b, [[x + y for x, y in zip(u, v)] for u, v in zip(ad, bd)], (r, k))
+        _check(a - b, [[x - y for x, y in zip(u, v)] for u, v in zip(ad, bd)], (r, k))
+        _check(a - a, [[z] * k for _ in range(r)], (r, k))
+        _check(-a, [[-x for x in u] for u in ad], (r, k))
+        f = field.of(rng.choice([-3, 2, 5]))
+        _check(a.scale(f), [[f * x for x in u] for u in ad], (r, k))
+        _check(a.scale(z), [[z] * k for _ in range(r)], (r, k))
+        _check(a @ c, [[sum((u[t] * cd[t][j] for t in range(k)), z) for j in range(s)] for u in ad], (r, s))
+        _check(a.T, [[u[i] for u in ad] for i in range(k)], (k, r))
+        rows_idx = [rng.randrange(r) for _ in range(rng.randint(0, 2 * r))] if r else []
+        cols_idx = rng.sample(range(k), rng.randint(0, k))
+        _check(a.take_rows(rows_idx), [ad[i] for i in rows_idx], (len(rows_idx), k))
+        _check(a.take_cols(cols_idx), [[u[j] for j in cols_idx] for u in ad], (r, len(cols_idx)))
+        _check(hstack(field, [a, b, a], rows=r), [u + v + u for u, v in zip(ad, bd)], (r, 3 * k))
+        _check(vstack(field, [a, b, a], cols=k), ad + bd + ad, (3 * r, k))
+        _check(block_diag(field, [a, Mat.zero(field, 0, 2), c]),
+                   [u + [z] * (2 + s) for u in ad] + [[z] * (k + 2) + v for v in cd], (r + k, k + 2 + s))
+        assert (a == b) == (ad == bd) and a == _of_ints(field, ai, k) and (a == Mat.zero(field, r, k)) == a.is_zero()
+        assert a.is_identity() == (r == k and ad == [[field.of(int(i == j)) for j in range(k)] for i in range(r)])
+        rank = _ref_rank(field, ad)
+        assert a.is_invertible() == (r == k and rank == r)
+        if a.is_invertible():
+            _check(a.inverse(), [list(u) for u in a.inverse().data], (r, r))
+            assert a @ a.inverse() == Mat.identity(field, r)
+        R, pivots = a.rref()
+        _check(R, [list(u) for u in R.data], (r, k))
+        if field == QQ:
+            assert ({(i, j): Fraction(x) for i, j, x in R.nonzeros()}, pivots) == _sympy_rref(ai, r, k)
+        else:
+            assert ([[x.v for x in u] for u in R.data], pivots) == _gauss_jordan_mod(ai, k, 7)
+        basis, retraction = kernel_from_rref(R, pivots)
+        _check(basis, [list(u) for u in basis.data], (k, k - rank))
+        _check(retraction, [list(u) for u in retraction.data], (k - rank, k))
+        assert (a @ basis).is_zero() and retraction @ basis == Mat.identity(field, k - rank)
+        if field == QQ:
+            assert [_to_sympy(basis).col(j) for j in range(basis.cols)] == _to_sympy(a).nullspace()
+        x = a.solve(a @ c)
+        _check(x, [list(u) for u in x.data], (k, s))
+        assert a @ x == a @ c
+        bi2 = _mostly_empty(rng, r, 1)
+        consistent = _ref_rank(field, [u + [field.of(v[0])] for u, v in zip(ad, bi2)]) == rank
+        assert (a.solve(_of_ints(field, bi2, 1)) is not None) == consistent
+        im = a.image_basis()
+        retr, proj, sec = subspace_package(im)
+        for m in (im, retr, proj, sec):
+            _check(m, [list(u) for u in m.data], (m.rows, m.cols))
+        assert retr @ im == Mat.identity(field, rank) and (proj @ im).is_zero()
+        assert proj @ sec == Mat.identity(field, r - rank)
+
+
+def test_zero_matrix_costs_nothing_whatever_its_shape():
+    """A zero matrix is an empty row table: built, compared, transposed and
+    combined in O(1) at any declared shape."""
+    n = 10**9
+    t0 = time.perf_counter()
+    z = Mat.zero(QQ, n, n)
+    assert z == Mat.zero(QQ, n, n) and z != Mat.zero(QQ, n, n - 1)
+    t = z.T
+    assert (t.rows, t.cols) == (n, n) and t == z
+    assert z.is_zero() and not z.is_identity() and not z.is_invertible() and z.rank() == 0
+    assert (z @ z).is_zero() and z + z == z and -z == z and z.scale(QQ.of(2)) == z
+    assert list(z.nonzeros()) == [] and z.entry(n - 1, n - 1) == 0
+    wide = Mat.zero(QQ, 3, n)
+    assert (vstack(QQ, [wide, wide]).rows, hstack(QQ, [z.T, z]).cols) == (6, 2 * n)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_dense_view_is_read_only():

@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from conftest import a2_qp, markov_qp, reference_intersection, MARKOV_K
+from conftest import a2_qp, markov_qp, markov_quiver, reference_intersection, MARKOV_K
 from qpmut import docio
 from qpmut import (
     GF,
+    QP,
     CertificateError,
     DecRep,
+    JetSpace,
     Mat,
     QQ,
     Report,
@@ -19,12 +21,13 @@ from qpmut import (
     check_module,
     component_action,
     cyclic_derivative,
+    cyclic_normalize,
     path_action,
     simple_rep,
 )
 from qpmut.generate import random_invertible, random_qp, random_valid_module, truncated_projective
 from qpmut.linalg import coords_in, subspace_package
-from qpmut.reps import is_intertwiner, is_isomorphism, path_matrix
+from qpmut.reps import derivative_actions, is_intertwiner, is_isomorphism, path_matrix
 
 
 def a2_p1():
@@ -406,6 +409,42 @@ def test_check_module_names_each_check():
     assert len(rpt.failures) == 1 and "c1" in rpt.failures[0]
     with pytest.raises(CertificateError, match="c1"):
         rpt.require()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["QQ", "F2", "F7"])
+def test_derivative_actions_sum_equal_rotations_like_the_merged_jet(field):
+    """In the rotationally symmetric cycle (c1 b1 a1)^2 both occurrences of an
+    arrow leave the same remainder.  Summing its matrix twice equals the
+    jet's merged coefficient times it (zero in characteristic 2), so every
+    action and every verdict of ``check_module`` is the jet's."""
+    q = markov_quiver()
+    s = JetSpace(q, 8, field)
+    three = field.of(3)
+    pot = cyclic_normalize(s.path(("c1", "b1", "a1") * 2).scale(three) + s.path(("c2", "b2", "a2"))
+                           - s.path(("c1", "b1", "a1")))
+    qp = QP(q, pot)
+    rest = s.path(("c1", "b1", "a1", "c1", "b1")).scale(three + three)
+    assert cyclic_derivative(pot, "a1").component(1, 3) == rest + s.path(("c1", "b1")).scale(-field.one)
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(25):
+        dims = {v: rng.randint(0, 3) for v in q.vertices}
+        maps = {a.id: Mat.from_rows(field, [{j: field.of(rng.choice([0, 0, 1, -1, 2])) for j in range(dims[a.tail])}
+                                            for _ in range(dims[a.head])], dims[a.tail]) for a in q.arrows}
+        if rng.random() < 0.5:  # no cycle acts, so the module is nilpotent
+            maps["c1"] = maps["c2"] = Mat.zero(field, dims[1], dims[2])
+        rep = DecRep(qp, dims, maps, {})
+        acts = derivative_actions(rep)
+        jets = {a.id: component_action(rep, cyclic_derivative(pot, a.id), a.tail, a.head) for a in q.arrows}
+        assert acts == jets
+        first = ("c1", "b1", "a1", "c1", "b1")
+        assert path_matrix(rep, first, 3, 1).scale(three) + path_matrix(rep, first, 3, 1).scale(three) \
+            == path_matrix(rep, first, 3, 1).scale(three + three)
+        rpt = check_module(rep)
+        if rep.is_nilpotent():
+            assert rpt.checks[1:] == [(f"derivative along {a!r} acts as zero", m.is_zero()) for a, m in jets.items()]
+            verdicts |= {m.is_zero() for m in jets.values()}
+    assert verdicts == {True, False}
 
 
 def test_is_isomorphism_rejects_a_singular_candidate_before_intertwining(markov, monkeypatch):
