@@ -23,7 +23,7 @@ qp = markov_qp()
 rng = random.Random(12)
 m = random_valid_module(qp, rng, max_dim=3)
 
-rpt = duality_witness(m, 3)
+rpt = duality_witness(m, 3).require()
 print("duality witness verified; comparison block at the mutation vertex is")
 print(" ", rpt.witness["delta_k"])
 

@@ -208,8 +208,8 @@ def cmd_verify(args) -> int:
     elif suite == "duality":
         for k in _admissible_vertices(rep):
             try:
-                duality_witness(rep, k)
-                note(f"duality commutes at {k}", True)
+                rpt = duality_witness(rep, k)
+                note(f"duality commutes at {k}", rpt.ok, "; ".join(rpt.failures))
             except QpmutError as e:
                 note(f"duality commutes at {k}", False, str(e))
     elif suite == "involution":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .cycles import cyclically_equivalent, reverse_jet, reverse_potential
 from .errors import Report
 from .jets import JetSpace
-from .linalg import Mat, block_matrix
+from .linalg import Mat, block_diag, block_matrix
 from .mutation import premutate_rep, pullback_reduction
 from .qp import QP, composite_name, require_mutable, split_reduce
 from .quiver import Quiver
@@ -67,7 +67,8 @@ def duality_witness(rep: DecRep, k: int) -> Report:
     The comparison map is assembled from the retraction, section and
     coker/quotient data of the module's own triangle, is the identity away
     from k, and is verified to intertwine both premutations and both reduced
-    modules exactly.  It is returned as ``witness["delta_k"]``.
+    modules exactly.  It is returned as ``witness["delta_k"]`` of the report,
+    which names any failed check; ``.require()`` raises on one.
     """
     qp = rep.qp
     fld = rep.field
@@ -97,10 +98,7 @@ def duality_witness(rep: DecRep, k: int) -> Report:
         cyclically_equivalent(transported_pot.jet, qpt_op.potential.jet),
     )
 
-    c = t.dim_cokerbeta
     q2 = t.dim_keralpha_mod_imgamma
-    vk = rep.dec_dims[k]
-    cd = td.dim_cokerbeta
     q2d = td.dim_keralpha_mod_imgamma
 
     # The two commuting squares the comparison map must satisfy pin it down:
@@ -109,10 +107,12 @@ def duality_witness(rep: DecRep, k: int) -> Report:
     # derivative map and the quotient section (the f-column, with a sign).
     e_prime = td.coker_sec           # representatives of coker(beta') in (M_in)^dual
     g_prime = td.ker_alpha @ td.sigma  # representatives of ker(alpha')/im(gamma') in (M_out)^dual
-    delta_k = block_matrix(fld, [
-        [-(t.coker_sec.T @ (t.gamma.T @ e_prime)), -(t.coker_sec.T @ g_prime), Mat.zero(fld, c, vk)],
-        [-(t.sigma.T @ (t.ker_alpha.T @ e_prime)), Mat.zero(fld, q2, q2d), Mat.zero(fld, q2, vk)],
-        [Mat.zero(fld, vk, cd), Mat.zero(fld, vk, q2d), Mat.identity(fld, vk)],
+    delta_k = block_diag(fld, [
+        block_matrix(fld, [
+            [-(t.coker_sec.T @ (t.gamma.T @ e_prime)), -(t.coker_sec.T @ g_prime)],
+            [-(t.sigma.T @ (t.ker_alpha.T @ e_prime)), Mat.zero(fld, q2, q2d)],
+        ]),
+        Mat.identity(fld, rep.dec_dims[k]),
     ])
 
     delta = {
@@ -141,4 +141,4 @@ def duality_witness(rep: DecRep, k: int) -> Report:
         m2 = pullback_reduction(renamed_dual, phi_op, reduced_op)  # dual of the mutation
         rpt.note("comparison map intertwines the reduced modules",
                  is_intertwiner(m1, m2, delta))
-    return rpt.require()
+    return rpt

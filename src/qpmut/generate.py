@@ -1,8 +1,11 @@
 """Seeded generators: random QPs, and valid modules built from truncated
 quotients of the path algebra by the derivative ideal.
 
-Modules produced here are nilpotent and annihilated by every cyclic
-derivative by construction; tests re-verify this through check_module.
+Both generated modules, the truncated projective and the random quotient,
+are quotients of a representation by a generated submodule, built by one
+routine; the result depends only on the generated span.  Modules produced
+here are nilpotent and annihilated by every cyclic derivative by
+construction; tests re-verify this through check_module.
 """
 
 from __future__ import annotations
@@ -98,78 +101,35 @@ def truncated_projective(qp: QP, ell: int, power: int) -> DecRep:
     and all paths of length >= power."""
     q = qp.quiver
     fld = qp.field
-    paths = _enumerate_paths_from(q, ell, power)
-    index = {p: i for i, p in enumerate(paths)}
     by_head: dict[int, list[Path]] = {v: [] for v in q.vertices}
-    for p in paths:
+    for p in _enumerate_paths_from(q, ell, power):
         by_head[p.head].append(p)
+    pos = {p: i for ps in by_head.values() for i, p in enumerate(ps)}
+    dims = {v: len(by_head[v]) for v in q.vertices}
 
-    def truncate_to_vector(jet_terms: dict[Path, object], head: int) -> list:
-        vec = [fld.zero] * len(by_head[head])
-        pos = {p: i for i, p in enumerate(by_head[head])}
-        for p, c in jet_terms.items():
-            if p.length < power and p.head == head:
-                vec[pos[p]] = vec[pos[p]] + c
-        return vec
-
-    # ideal generators u . dS/dc . v with tail(v) = ell, truncated
-    derivs = {a.id: cyclic_derivative(qp.potential, a.id) for a in q.arrows}
-    gens_by_head: dict[int, list[list]] = {v: [] for v in q.vertices}
-    for aid, d in derivs.items():
-        if d.is_zero():
-            continue
-        dmin = min(p.length for p in d.terms)
-        a = q.arrow(aid)
-        # v: path from ell to h(c); u: path from t(c) onward
-        for v in paths:
-            if v.head != a.head:
-                continue
-            for u in _enumerate_paths_from(q, a.tail, max(1, power - dmin - v.length)):
-                terms: dict[Path, object] = {}
-                for p, c in d.terms.items():
-                    ln = u.length + p.length + v.length
-                    if ln >= power:
-                        continue
-                    word = u.arrows + p.arrows + v.arrows
-                    newp = Path(word, ell, u.head if word else ell)
-                    terms[newp] = terms.get(newp, fld.zero) + c
-                if terms:
-                    head = next(iter(terms)).head
-                    vec = truncate_to_vector(terms, head)
-                    if any(vec):
-                        gens_by_head[head].append(vec)
-
-    dims = {}
-    projs = {}
-    reps = {}
-    for v in q.vertices:
-        n = len(by_head[v])
-        gens = gens_by_head[v]
-        gen_mat = Mat.from_rows(fld, [{c: col[i] for c, col in enumerate(gens)} for i in range(n)], len(gens))
-        basis = gen_mat.image_basis()
-        _, proj, sec = subspace_package(basis)
-        dims[v] = proj.rows
-        projs[v] = proj
-        reps[v] = sec
-
+    # each arrow c sends the basis path p to c p, or to 0 at length >= power
     maps = {}
-    for a in q.arrows:
-        src = by_head[a.tail]
-        m = Mat.zero(fld, dims[a.head], dims[a.tail])
-        if dims[a.tail] and dims[a.head]:
-            cols = []
-            for j in range(dims[a.tail]):
-                img_terms: dict[Path, object] = {}
-                for i, p in enumerate(src):
-                    c = reps[a.tail].entry(i, j)
-                    if not c or p.length + 1 >= power:
-                        continue
-                    word = (a.id,) + p.arrows
-                    img_terms[Path(word, ell, a.head)] = c
-                cols.append(truncate_to_vector(img_terms, a.head))
-            m = projs[a.head] @ Mat(fld, cols).T
-        maps[a.id] = m
-    return DecRep(qp, dims, maps, {v: 0 for v in q.vertices})
+    for c in q.arrows:
+        rows: list[dict] = [{} for _ in by_head[c.head]]
+        for j, p in enumerate(by_head[c.tail]):
+            i = pos.get(Path((c.id,) + p.arrows, ell, c.head))
+            if i is not None:
+                rows[i] = {j: fld.one}
+        maps[c.id] = Mat.from_rows(fld, rows, dims[c.tail])
+
+    # the ideal is generated by dS/dc . v, for the paths v from ell to h(c)
+    gens: dict[int, list[dict]] = {v: [] for v in q.vertices}
+    for c in q.arrows:
+        d = cyclic_derivative(qp.potential, c.id)
+        for v in by_head[c.head]:
+            col: dict[int, object] = {}
+            for p, x in d.terms.items():
+                i = pos.get(Path(p.arrows + v.arrows, ell, c.tail))
+                if i is not None:
+                    col[i] = col.get(i, fld.zero) + x
+            gens[c.tail].append(col)
+    gen_mats = {v: Mat.from_rows(fld, gens[v], dims[v]).T for v in q.vertices}
+    return _quotient(qp, dims, maps, gen_mats, {v: 0 for v in q.vertices})
 
 
 def direct_sum(reps: list[DecRep]) -> DecRep:
@@ -201,6 +161,29 @@ def base_change(rep: DecRep, rng: random.Random) -> tuple[DecRep, dict[int, Mat]
     return DecRep(rep.qp, dict(rep.dims), maps, dict(rep.dec_dims)), g
 
 
+def _quotient(qp: QP, dims: dict[int, int], maps: dict[str, Mat], gens: dict[int, Mat],
+              dec: dict[int, int]) -> DecRep:
+    """The quotient of the representation (dims, maps) by the submodule
+    generated by the columns of gens[v] at each vertex v.  The span is closed
+    under the arrows, and each arrow acts by proj @ (map @ section) through
+    subspace_package of the span, which depends only on the span."""
+    fld = qp.field
+    q = qp.quiver
+    spans = {v: gens[v].image_basis() for v in q.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for a in q.arrows:
+            img = maps[a.id] @ spans[a.tail]
+            combined = hstack(fld, [spans[a.head], img], rows=dims[a.head]).image_basis()
+            if combined.cols > spans[a.head].cols:
+                spans[a.head] = combined
+                changed = True
+    packs = {v: subspace_package(spans[v]) for v in q.vertices}
+    quotient_maps = {a.id: packs[a.head][1] @ (maps[a.id] @ packs[a.tail][2]) for a in q.arrows}
+    return DecRep(qp, {v: packs[v][1].rows for v in q.vertices}, quotient_maps, dict(dec))
+
+
 def random_quotient(rep: DecRep, rng: random.Random) -> DecRep:
     """Quotient by the submodule generated by a random vector."""
     fld = rep.field
@@ -209,31 +192,9 @@ def random_quotient(rep: DecRep, rng: random.Random) -> DecRep:
     if not verts:
         return rep
     v0 = rng.choice(verts)
-    vec = Mat(fld, [[fld.of(rng.randint(-1, 1))] for _ in range(rep.dims[v0])])
-    spans = {v: Mat.zero(fld, rep.dims[v], 0) for v in q.vertices}
-    spans[v0] = vec.image_basis()
-    changed = True
-    while changed:
-        changed = False
-        for a in q.arrows:
-            img = rep.maps[a.id] @ spans[a.tail]
-            combined = hstack(fld, [spans[a.head], img], rows=rep.dims[a.head]).image_basis()
-            if combined.cols > spans[a.head].cols:
-                spans[a.head] = combined
-                changed = True
-    dims = {}
-    projs = {}
-    secs = {}
-    for v in q.vertices:
-        _, proj, sec = subspace_package(spans[v])
-        dims[v] = proj.rows
-        projs[v] = proj
-        secs[v] = sec
-    maps = {
-        a.id: projs[a.head] @ (rep.maps[a.id] @ secs[a.tail])
-        for a in q.arrows
-    }
-    return DecRep(rep.qp, dims, maps, dict(rep.dec_dims))
+    gens = {v: Mat.zero(fld, rep.dims[v], 0) for v in q.vertices}
+    gens[v0] = Mat(fld, [[fld.of(rng.randint(-1, 1))] for _ in range(rep.dims[v0])])
+    return _quotient(rep.qp, rep.dims, rep.maps, gens, rep.dec_dims)
 
 
 def random_valid_module(

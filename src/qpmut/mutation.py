@@ -5,11 +5,13 @@ amalgam of coker(beta) and ker(alpha) over im(gamma).  Four equivalent
 constructions are provided ("amalgam", "ker_alpha", "coker_beta",
 "pushout").  Each construction is written once, in one branch that makes
 its reversed-arrow maps together with the map F from amalgam coordinates
-onto its space at k, which is built when first read; the isomorphism
-between two constructions is F_to @ F_from^-1, produced and verified by
-``constructions_agree``, the only reader of F.  Full mutation premutates,
-then pulls the module structure back along the splitting substitution of
-the premutated potential.
+onto its space at k, which is built when first read.  The old decoration
+V_k is a direct summand of the new space on which every new map is zero;
+it is appended once, after the branch, with F the identity on it.  The
+isomorphism between two constructions is F_to @ F_from^-1, produced and
+verified by ``constructions_agree``, the only reader of F.  Full mutation
+premutates, then pulls the module structure back along the splitting
+substitution of the premutated potential.
 """
 
 from __future__ import annotations
@@ -73,12 +75,12 @@ class PremutedRep:
         return vstack(self.rep.field, mats, cols=self.rep.dims[self.k])
 
 
-def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
-    """Return (make_F, alpha_bar, beta_bar) for the chosen construction,
-    each branch writing all three from the same intermediates.  F maps amalgam
-    coordinates (ker gamma/im beta, im gamma, ker alpha/im gamma, decoration)
-    onto the construction's space Mbar_k; alpha_bar: M_out -> Mbar_k,
-    beta_bar: Mbar_k -> M_in."""
+def _construction_blocks(t: TrianglePack, fld, kind: str):
+    """Return (make_F0, alpha_bar0, beta_bar0) for the chosen construction,
+    each branch writing all three from the same intermediates.  F0 maps the
+    amalgam coordinates (ker gamma/im beta, im gamma, ker alpha/im gamma)
+    onto the construction's amalgam part of Mbar_k; alpha_bar0: M_out -> it,
+    beta_bar0: it -> M_in.  The decoration summand is appended by the caller."""
     d_in, d_out = t.d_in, t.d_out
     q1 = t.dim_kergamma_mod_imbeta
     rg = t.dim_imgamma
@@ -87,75 +89,45 @@ def _construction_blocks(t: TrianglePack, vk: int, fld, kind: str):
     c = t.dim_cokerbeta
 
     if kind == "amalgam":
-        f = lambda: Mat.identity(fld, q1 + rg + q2 + vk)
+        f = lambda: Mat.identity(fld, q1 + rg + q2)
         beta_bar = hstack(fld, [
             Mat.zero(fld, d_in, q1),
             t.ker_alpha @ t.im_gamma_in_keralpha,
             t.ker_alpha @ t.sigma,
-            Mat.zero(fld, d_in, vk),
         ], rows=d_in)
         alpha_bar = vstack(fld, [
             -(t.pi1 @ t.rho),
             -t.gamma_in_imgamma,
             Mat.zero(fld, q2, d_out),
-            Mat.zero(fld, vk, d_out),
         ], cols=d_out)
     elif kind == "ker_alpha":
         f = lambda: block_matrix(fld, [
-            [Mat.identity(fld, q1), Mat.zero(fld, q1, rg), Mat.zero(fld, q1, q2), Mat.zero(fld, q1, vk)],
-            [Mat.zero(fld, ka, q1), t.im_gamma_in_keralpha, t.sigma, Mat.zero(fld, ka, vk)],
-            [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
+            [Mat.identity(fld, q1), Mat.zero(fld, q1, rg), Mat.zero(fld, q1, q2)],
+            [Mat.zero(fld, ka, q1), t.im_gamma_in_keralpha, t.sigma],
         ])
-        beta_bar = hstack(fld, [
-            Mat.zero(fld, d_in, q1),
-            t.ker_alpha,
-            Mat.zero(fld, d_in, vk),
-        ], rows=d_in)
-        alpha_bar = vstack(fld, [
-            -(t.pi1 @ t.rho),
-            -t.gamma_in_keralpha,
-            Mat.zero(fld, vk, d_out),
-        ], cols=d_out)
+        beta_bar = hstack(fld, [Mat.zero(fld, d_in, q1), t.ker_alpha], rows=d_in)
+        alpha_bar = vstack(fld, [-(t.pi1 @ t.rho), -t.gamma_in_keralpha], cols=d_out)
     elif kind == "coker_beta":
         f = lambda: block_matrix(fld, [
-            [t.coker_p @ (t.ker_gamma @ t.s1), t.coker_p @ t.s_section,
-             Mat.zero(fld, c, q2), Mat.zero(fld, c, vk)],
-            [Mat.zero(fld, q2, q1), Mat.zero(fld, q2, rg), Mat.identity(fld, q2), Mat.zero(fld, q2, vk)],
-            [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
+            [t.coker_p @ (t.ker_gamma @ t.s1), t.coker_p @ t.s_section, Mat.zero(fld, c, q2)],
+            [Mat.zero(fld, q2, q1), Mat.zero(fld, q2, rg), Mat.identity(fld, q2)],
         ])
-        beta_bar = hstack(fld, [
-            t.gamma @ t.coker_sec,
-            t.ker_alpha @ t.sigma,
-            Mat.zero(fld, d_in, vk),
-        ], rows=d_in)
-        alpha_bar = vstack(fld, [
-            -t.coker_p,
-            Mat.zero(fld, q2, d_out),
-            Mat.zero(fld, vk, d_out),
-        ], cols=d_out)
-    elif kind == "pushout":
+        beta_bar = hstack(fld, [t.gamma @ t.coker_sec, t.ker_alpha @ t.sigma], rows=d_in)
+        alpha_bar = vstack(fld, [-t.coker_p, Mat.zero(fld, q2, d_out)], cols=d_out)
+    else:  # "pushout"
         # independent columns, as im_gamma_in_keralpha's are (else ShapeError)
         rel = vstack(fld, [
             t.coker_p @ t.s_section,
             -t.im_gamma_in_keralpha,
         ], cols=rg)
         _, qproj, qsec = subspace_package(rel)
-        pd = qproj.rows
         qc = qproj.take_cols(list(range(c)))
         jmap = qproj.take_cols(list(range(c, c + ka)))
-        f = lambda: block_matrix(fld, [
-            [qc @ (t.coker_p @ (t.ker_gamma @ t.s1)), jmap @ t.im_gamma_in_keralpha,
-             jmap @ t.sigma, Mat.zero(fld, pd, vk)],
-            [Mat.zero(fld, vk, q1), Mat.zero(fld, vk, rg), Mat.zero(fld, vk, q2), Mat.identity(fld, vk)],
+        f = lambda: hstack(fld, [
+            qc @ (t.coker_p @ (t.ker_gamma @ t.s1)), jmap @ t.im_gamma_in_keralpha, jmap @ t.sigma,
         ])
-        iota_bar = hstack(fld, [t.gamma @ t.coker_sec, t.ker_alpha], rows=d_in) @ qsec
-        beta_bar = hstack(fld, [iota_bar, Mat.zero(fld, d_in, vk)], rows=d_in)
-        alpha_bar = vstack(fld, [
-            -(qc @ (t.coker_p @ (t.ker_gamma @ t.rho))) - (jmap @ t.gamma_in_keralpha),
-            Mat.zero(fld, vk, d_out),
-        ], cols=d_out)
-    else:
-        raise InvariantError(f"unknown construction {kind!r}")
+        beta_bar = hstack(fld, [t.gamma @ t.coker_sec, t.ker_alpha], rows=d_in) @ qsec
+        alpha_bar = -(qc @ (t.coker_p @ (t.ker_gamma @ t.rho))) - (jmap @ t.gamma_in_keralpha)
     return f, alpha_bar, beta_bar
 
 
@@ -180,7 +152,11 @@ def premutate_rep(
     t = triangle if triangle is not None else build_triangle(rep, k)
     vk = rep.dec_dims[k]
 
-    make_f, alpha_bar, beta_bar = _construction_blocks(t, vk, fld, construction)
+    make_f0, alpha_bar0, beta_bar0 = _construction_blocks(t, fld, construction)
+    # the decoration V_k is a direct summand on which every new map is zero
+    alpha_bar = vstack(fld, [alpha_bar0, Mat.zero(fld, vk, t.d_out)], cols=t.d_out)
+    beta_bar = hstack(fld, [beta_bar0, Mat.zero(fld, t.d_in, vk)], rows=t.d_in)
+    make_f = lambda: block_diag(fld, [make_f0(), Mat.identity(fld, vk)])
     # dimension bookkeeping: the new space has as many dimensions as the
     # amalgam has coordinates
     dbar_k = t.dim_kergamma_mod_imbeta + t.dim_imgamma + t.dim_keralpha_mod_imgamma + vk
@@ -324,14 +300,12 @@ def transport_iso(
     diff_in_img = coords_in(tn.im_gamma, diff)
     eps = tn.coker_p @ (tn.s_section @ diff_in_img)
 
-    vk = m_from.dec_dims[k]
-    g_k = Mat.identity(fld, vk)
-    c_m, q2_m = tm.dim_cokerbeta, tm.dim_keralpha_mod_imgamma
-    c_n, q2_n = tn.dim_cokerbeta, tn.dim_keralpha_mod_imgamma
-    fk = block_matrix(fld, [
-        [f_out_bar, eps, Mat.zero(fld, c_n, vk)],
-        [Mat.zero(fld, q2_n, c_m), f_in_bar, Mat.zero(fld, q2_n, vk)],
-        [Mat.zero(fld, vk, c_m), Mat.zero(fld, vk, q2_m), g_k],
+    fk = block_diag(fld, [
+        block_matrix(fld, [
+            [f_out_bar, eps],
+            [Mat.zero(fld, tn.dim_keralpha_mod_imgamma, tm.dim_cokerbeta), f_in_bar],
+        ]),
+        Mat.identity(fld, m_from.dec_dims[k]),
     ])
     f_tilde = {v: (fk if v == k else f[v]) for v in m_from.qp.quiver.vertices}
     if not is_isomorphism(pm_m.rep, pm_n.rep, f_tilde):

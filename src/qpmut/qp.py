@@ -202,25 +202,18 @@ def _degree2_pairing(qp: QP):
     parallel-arrow classes; returns {(i, j): (A_ids, B_ids, Mat)} with i < j."""
     q = qp.quiver
     fld = qp.field
-    deg2 = qp.potential.degree2_part().terms()
-    classes: dict[tuple[int, int], tuple[list[str], list[str]]] = {}
-    for p in deg2:
+    classes = q.parallel_classes
+    at = {aid: n for ids in classes.values() for n, aid in enumerate(ids)}
+    cells: dict[tuple[int, int], list[list]] = {}
+    for p, c in qp.potential.degree2_part().terms().items():
         x, y = p.arrows
-        i, j = sorted((q.tail(x), q.head(x)))
-        if (i, j) not in classes:
-            a_ids = sorted(a.id for a in q.arrows if (a.tail, a.head) == (i, j))
-            b_ids = sorted(a.id for a in q.arrows if (a.tail, a.head) == (j, i))
-            classes[(i, j)] = (a_ids, b_ids)
-    cells = {key: [[fld.zero] * len(b_ids) for _ in a_ids] for key, (a_ids, b_ids) in classes.items()}
-    for p, c in deg2.items():
-        x, y = p.arrows
-        i, j = sorted((q.tail(x), q.head(x)))
-        a_ids, b_ids = classes[(i, j)]
-        if q.tail(x) == i:  # x in the A class, word (x, y)
-            cells[(i, j)][a_ids.index(x)][b_ids.index(y)] += c
-        else:
-            cells[(i, j)][a_ids.index(y)][b_ids.index(x)] += c
-    return {key: (a_ids, b_ids, Mat(fld, cells[key])) for key, (a_ids, b_ids) in classes.items()}
+        if q.tail(x) > q.head(x):  # x in the B class: the A arrow is y
+            x, y = y, x
+        key = (q.tail(x), q.head(x))
+        if key not in cells:
+            cells[key] = [[fld.zero] * len(classes[key[::-1]]) for _ in classes[key]]
+        cells[key][at[x]][at[y]] += c
+    return {key: (classes[key], classes[key[::-1]], Mat(fld, rows)) for key, rows in cells.items()}
 
 
 def _pivot_normal_form(c: Mat):
@@ -455,7 +448,6 @@ def mutate_qp(qp: QP, k: int) -> tuple[QP, ArrowSubstitution, QP]:
 
 @dataclass
 class NondegeneracyReport:
-    qp_vertices: tuple[int, ...]
     depth: int
     trials: int
     seed: int
@@ -470,7 +462,7 @@ def probe_nondegeneracy(qp: QP, depth: int, trials: int, seed: int) -> Nondegene
     """Run seeded random mutation sequences, reporting any that reach a
     non-2-acyclic reduced quiver."""
     if not qp.quiver.is_2_acyclic():
-        return NondegeneracyReport(qp.quiver.vertices, depth, trials, seed, [[]])
+        return NondegeneracyReport(depth, trials, seed, [[]])
     rng = random.Random(seed)
     witnesses: list[list[int]] = []
     for _ in range(trials):
@@ -483,4 +475,4 @@ def probe_nondegeneracy(qp: QP, depth: int, trials: int, seed: int) -> Nondegene
             if not cur.quiver.is_2_acyclic():
                 witnesses.append(seq[:])
                 break
-    return NondegeneracyReport(qp.quiver.vertices, depth, trials, seed, witnesses)
+    return NondegeneracyReport(depth, trials, seed, witnesses)

@@ -99,11 +99,19 @@ class Quiver:
             tuple(Arrow(mapping.get(a.id, a.id), a.tail, a.head) for a in self.arrows),
         )
 
-    def arrow_counts(self) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
+    @cached_property
+    def parallel_classes(self) -> dict[tuple[int, int], list[str]]:
+        """The sorted ids of the arrows t -> h, keyed by (t, h) in arrow
+        order; shared, so not to be changed."""
+        classes: dict[tuple[int, int], list[str]] = {}
         for a in self.arrows:
-            counts[(a.tail, a.head)] = counts.get((a.tail, a.head), 0) + 1
-        return counts
+            classes.setdefault((a.tail, a.head), []).append(a.id)
+        for ids in classes.values():
+            ids.sort()
+        return classes
+
+    def arrow_counts(self) -> dict[tuple[int, int], int]:
+        return {key: len(ids) for key, ids in self.parallel_classes.items()}
 
 
 def same_up_to_vertex_fixing_iso(q1: Quiver, q2: Quiver) -> bool:

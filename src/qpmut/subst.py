@@ -122,26 +122,12 @@ def compose_substitutions(
     return ArrowSubstitution(psi.source, phi.target_space, images)
 
 
-def _parallel_classes(q: Quiver) -> dict[tuple[int, int], list[str]]:
-    classes: dict[tuple[int, int], list[str]] = {}
-    for a in q.arrows:
-        classes.setdefault((a.tail, a.head), []).append(a.id)
-    for ids in classes.values():
-        ids.sort()
-    return classes
-
-
 def _linear_part_blocks(phi: ArrowSubstitution):
     """Per parallel class, the matrix of length-1 coefficients of the images."""
-    q = phi.source
+    targets = phi.target_space.quiver.parallel_classes
     blocks = {}
-    for key, ids in _parallel_classes(q).items():
-        n = len(ids)
-        col_index = {}
-        for b in phi.target_space.quiver.arrows:
-            if (b.tail, b.head) == key:
-                col_index[b.id] = None
-        cols = sorted(col_index)
+    for key, ids in phi.source.parallel_classes.items():
+        cols = targets.get(key, [])
         mat = [[phi.field.zero for _ in ids] for _ in cols]
         for j, aid in enumerate(ids):
             for p, c in phi.images[aid].terms.items():

@@ -202,8 +202,8 @@ def test_cli_fourway_reports_a_singular_coordinate_map(tmp_path, monkeypatch):
 
     construction_blocks = mutmod._construction_blocks
 
-    def singular(t, vk, fld, kind):
-        make_f, alpha_bar, beta_bar = construction_blocks(t, vk, fld, kind)
+    def singular(t, fld, kind):
+        make_f, alpha_bar, beta_bar = construction_blocks(t, fld, kind)
         if kind == "ker_alpha":
             return (lambda: make_f().scale(fld.zero)), alpha_bar, beta_bar
         return make_f, alpha_bar, beta_bar
@@ -216,6 +216,21 @@ def test_cli_fourway_reports_a_singular_coordinate_map(tmp_path, monkeypatch):
     text = out.read_text()
     assert "FAIL four constructions agree" in text
     assert "amalgam->ker_alpha is an isomorphism" in text
+
+
+def test_cli_duality_suite_notes_the_witness_checks(tmp_path, monkeypatch):
+    # a failed check of the witness is a FAIL line naming it, not an error
+    import qpmut.duality as dualmod
+
+    monkeypatch.setattr(dualmod, "is_intertwiner", lambda *args: False)
+    out = tmp_path / "duality.txt"
+    code = main(["verify", "--in", fixture("markov_rep.json"), "--suite", "duality",
+                 "--out", str(out)])
+    assert code == 1
+    assert out.read_text().splitlines() == [
+        f"FAIL duality commutes at {k} comparison map intertwines the premutations"
+        for k in (1, 2, 3)
+    ] + ["FAILED suite=duality seed=0"]
 
 
 def test_cli_pre_flag(tmp_path):

@@ -40,6 +40,7 @@ from qpmut import (
 )
 from qpmut.generate import base_change, random_valid_module
 from qpmut.homs import YES
+from qpmut.linalg import block_diag
 from qpmut.mutation import involution_pullback, transport_iso
 
 
@@ -194,8 +195,8 @@ def test_amalgam_map_is_built_when_first_read(markov, monkeypatch):
     built = []
     construction_blocks = mutmod._construction_blocks
 
-    def counted(t, vk, fld, kind):
-        make_f, alpha_bar, beta_bar = construction_blocks(t, vk, fld, kind)
+    def counted(t, fld, kind):
+        make_f, alpha_bar, beta_bar = construction_blocks(t, fld, kind)
         return (lambda: built.append(kind) or make_f()), alpha_bar, beta_bar
 
     rng = random.Random(181)
@@ -217,6 +218,32 @@ def test_amalgam_map_is_built_when_first_read(markov, monkeypatch):
         assert pm.amalgam_map == eager[kind]
         assert pm.amalgam_map is pm.amalgam_map
     assert built == list(CONSTRUCTIONS)
+
+
+def test_decoration_is_one_summand_of_every_construction(markov):
+    # premutating M (+) V_k at k premutates M and appends V_k: zero rows of
+    # alpha_bar, zero columns of beta_bar, and the identity block of F
+    rng = random.Random(29)
+    seen = 0
+    while seen < 12:
+        m = random_valid_module(markov, rng, max_dim=3)
+        for k in markov.quiver.vertices:
+            vk = m.dec_dims[k]
+            if not vk:
+                continue
+            m0 = DecRep(markov, m.dims, m.maps, {**m.dec_dims, k: 0})
+            for kind in CONSTRUCTIONS:
+                pm, pm0 = premutate_rep(m, k, kind), premutate_rep(m0, k, kind)
+                assert "amalgam_map" not in vars(pm)
+                n = pm0.rep.dims[k]
+                assert pm.rep.dims[k] == n + vk
+                assert pm.alpha_bar.take_rows(list(range(n, n + vk))).is_zero()
+                assert pm.beta_bar.take_cols(list(range(n, n + vk))).is_zero()
+                assert pm.alpha_bar.take_rows(list(range(n))) == pm0.alpha_bar
+                assert pm.beta_bar.take_cols(list(range(n))) == pm0.beta_bar
+                assert pm.rep.dec_dims == pm0.rep.dec_dims
+                assert pm.amalgam_map == block_diag(QQ, [pm0.amalgam_map, Mat.identity(QQ, vk)])
+            seen += 1
 
 
 def test_injected_triangle_is_never_stored(markov):

@@ -1,6 +1,7 @@
 """Decorated representations: module checks, jet actions, triangles."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -69,6 +70,37 @@ def test_truncated_projective_is_valid(markov):
             m = truncated_projective(markov, ell, power)
             assert check_module(m).ok
             assert m.nilpotency_index() <= power
+
+
+# sha256 over docio.dumps(docio.emit_decrep(m)) of truncated_projective(markov,
+# ell, power) for ell in 1..3 and power in 1..5, and of random_valid_module(qp,
+# rng, max_dim=4, max_power=4) over 60 QPs random_qp(rng) drawn from Random(5)
+TRUNCATED_PROJECTIVES_SHA = "7332163e484b7530e659e03675b0259cb4bb5478519587c7bca0fc2bb995d695"
+RANDOM_MODULES_SHA = "963bc6fe1b153ca3546803e9e9e2a087cf7c0cb42cf023827088e2e17756ace1"
+
+
+def test_generated_modules_are_pinned(markov, monkeypatch):
+    import qpmut.generate as gen
+
+    def emitted(m):
+        return docio.dumps(docio.emit_decrep(m)).encode()
+
+    h = hashlib.sha256()
+    for ell in (1, 2, 3):
+        for power in range(1, 6):
+            h.update(emitted(truncated_projective(markov, ell, power)))
+    assert h.hexdigest() == TRUNCATED_PROJECTIVES_SHA
+
+    quotients = []
+    random_quotient = gen.random_quotient
+    monkeypatch.setattr(gen, "random_quotient",
+                        lambda rep, rng: quotients.append(rep) or random_quotient(rep, rng))
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    for _ in range(60):
+        h.update(emitted(random_valid_module(random_qp(rng), rng, max_dim=4, max_power=4)))
+    assert len(quotients) == 19
+    assert h.hexdigest() == RANDOM_MODULES_SHA
 
 
 def test_nilpotency_rejects_invertible_cycle():
