@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from . import docio
 from .cycles import cyclic_normalize
@@ -54,12 +55,15 @@ def _default_trunc() -> int:
         raise QpmutError(f"QPMUT_TRUNC={env!r} is not a positive integer") from None
 
 
-def _out(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _out(args, doc: dict | str) -> None:
+    """Write a document, chunk by chunk, or a report's text to --out or
+    stdout.  Callers build the document tree first, so a failure to build
+    it leaves no file."""
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
+            docio.dump(doc, fh)
 
 
 def _parse_seq(raw: str) -> list[int]:
@@ -94,7 +98,7 @@ def cmd_mutate_quiver(args) -> int:
     tag = args.field
     field = field_from_name({"q": "Q"}.get(tag.lower(), tag.replace("fp:", "Fp:")))
     trunc = _default_trunc() if args.trunc is None else args.trunc
-    _out(args, docio.dumps(docio.emit_quiver(out, field, trunc)))
+    _out(args, docio.emit_quiver(out, field, trunc))
     return EXIT_OK
 
 
@@ -129,7 +133,7 @@ def cmd_mutate_qp(args) -> int:
         cur = red
     doc = docio.emit_qp(cur)
     doc["steps"] = steps
-    _out(args, docio.dumps(doc))
+    _out(args, doc)
     return EXIT_OK
 
 
@@ -139,7 +143,7 @@ def cmd_mutate_rep(args) -> int:
     cur = rep
     for k in _seq_from_args(args):
         cur = mutate_rep(cur, k, construction)
-    _out(args, docio.dumps(docio.emit_decrep(cur)))
+    _out(args, docio.emit_decrep(cur))
     return EXIT_OK
 
 
@@ -151,7 +155,7 @@ def cmd_dualize(args) -> int:
         out = docio.emit_decrep(dualize_rep(obj))
     else:
         raise QpmutError("dualize expects a qp or decrep document")
-    _out(args, docio.dumps(out))
+    _out(args, out)
     return EXIT_OK
 
 
@@ -166,7 +170,7 @@ def cmd_probe_nondeg(args) -> int:
         "witnesses": report.witnesses,
         "degenerate": report.degenerate,
     }
-    _out(args, docio.dumps(doc))
+    _out(args, doc)
     return EXIT_OK
 
 

@@ -3,20 +3,36 @@
 One self-describing format with top-level ``kind``, format ``version``,
 ``field`` tag ("Q" or "Fp:<p>") and ``trunc``; matrices are row-major.  Every
 scalar is a JSON string, a rational in canonical lowest terms; any other JSON
-value in a scalar slot is a ``SchemaError``.  parse(emit_qp(x)) == x and
-parse(emit_decrep(x)) == x bit-exactly,
-and every parsed object is re-validated.
+value in a scalar slot is a ``SchemaError``.  loads(dumps(emit_qp(x))) == x
+and loads(dumps(emit_decrep(x))) == x bit-exactly, and every parsed object
+is re-validated.  ``parse`` takes JSON-native dicts, such as ``json.loads``
+returns; an ``emit_decrep`` tree is not one, so parse(emit_decrep(x)) is not
+a supported call.
+
+Writing: ``emit_*`` build a document tree in which each matrix of a decrep
+is a row writer holding the ``Mat``, not its cells.  One generator writes
+every tree: dicts in sorted-key order with the separators "," and ":", each
+subtree that holds no matrix whole through ``json.dumps``, and each matrix
+row by row from its nonzeros (runs of the zero literal with the nonzeros'
+literals written in), ending in "\n".  ``dumps`` joins its chunks and
+``dump`` writes them to a file, so the two agree byte for byte and emitting
+costs a document's nonzeros and its bytes, never a list of its cells; writing
+to a file holds one row of text at a time.
 
 Conversion costs a document's distinct scalars, not its cells: ``parse``
 keeps one dict per document from each scalar string to its value, so each
-distinct string goes through ``Field.parse`` once, and ``emit_decrep`` keeps
-one dict from each value to its string, so each distinct value goes through
-``Field.to_str`` once and every equal cell shares one ``str``.
+distinct string goes through ``Field.parse`` once, and a decrep's writers
+share one memo per document, so each distinct value goes through
+``Field.to_str`` once and its JSON literal is made once.  Parsing still
+costs a document's cells: ``json.loads`` builds every one.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import groupby, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any
 
 from .cycles import Potential, cyclic_normalize
@@ -57,13 +73,34 @@ def _scalar(field: Field, raw: Any, where: str, values: dict):
     return x
 
 
-def _to_str(field: Field, x, strs: dict) -> str:
-    """The string of ``x``, made once per document: ``strs`` maps each value
-    emitted so far to its string."""
-    s = strs.get(x)
-    if s is None:
-        s = strs[x] = field.to_str(x)
-    return s
+class _Memo:
+    """One document's strings, each made once: the scalar string of each
+    value (``Field.to_str`` runs once per distinct value), its JSON literal,
+    and the row of zeros of each width."""
+
+    __slots__ = ("field", "strs", "literals", "zero_rows")
+
+    def __init__(self, field: Field):
+        self.field, self.strs, self.literals, self.zero_rows = field, {}, {}, {}
+
+    def scalar(self, x) -> str:
+        s = self.strs.get(x)
+        if s is None:
+            s = self.strs[x] = self.field.to_str(x)
+        return s
+
+    def literal(self, x) -> str:
+        q = self.literals.get(x)
+        if q is None:
+            q = self.literals[x] = encode_basestring_ascii(self.scalar(x))
+        return q
+
+    def zero_row(self, cols: int) -> str:
+        """A comma, then the row of ``cols`` zero literals."""
+        r = self.zero_rows.get(cols)
+        if r is None:
+            r = self.zero_rows[cols] = ",[" + ",".join([self.literal(self.field.zero)] * cols) + "]"
+        return r
 
 
 def _field_tag(field: Field) -> str:
@@ -79,11 +116,10 @@ def emit_quiver_payload(q: Quiver) -> dict:
     }
 
 
-def _emit_potential(pot: Potential, strs: dict) -> list[dict]:
-    fld = pot.space.field
+def _emit_potential(pot: Potential, memo: _Memo) -> list[dict]:
     out = []
     for p, c in sorted(pot.terms().items(), key=lambda t: (t[0].length, t[0].arrows)):
-        out.append({"cycle": list(p.arrows), "coeff": _to_str(fld, c, strs)})
+        out.append({"cycle": list(p.arrows), "coeff": memo.scalar(c)})
     return out
 
 
@@ -97,14 +133,14 @@ def emit_quiver(q: Quiver, field: Field, trunc: int) -> dict:
     }
 
 
-def _emit_qp_payload(qp: QP, strs: dict) -> dict:
+def _emit_qp_payload(qp: QP, memo: _Memo) -> dict:
     payload = emit_quiver_payload(qp.quiver)
-    payload["potential"] = _emit_potential(qp.potential, strs)
+    payload["potential"] = _emit_potential(qp.potential, memo)
     return payload
 
 
 def emit_qp(qp: QP) -> dict:
-    payload = _emit_qp_payload(qp, {})
+    payload = _emit_qp_payload(qp, _Memo(qp.field))
     return {
         "kind": "qp",
         "version": FORMAT_VERSION,
@@ -114,25 +150,62 @@ def emit_qp(qp: QP) -> dict:
     }
 
 
-def _emit_matrix(m: Mat, field: Field, strs: dict) -> list[list[str]]:
-    """Rows of the zero string, with the nonzeros written in."""
-    zero = _to_str(field, field.zero, strs)
-    out = [[zero] * m.cols for _ in range(m.rows)]
-    get = strs.get  # no scalar prints as "", so a miss is the only falsy result
-    for i, j, x in m.nonzeros():
-        out[i][j] = get(x) or _to_str(field, x, strs)
-    return out
+class _MatrixWriter:
+    """A matrix in an emitted document, written as JSON rows from its
+    nonzeros when the document is written."""
+
+    __slots__ = ("mat", "memo")
+
+    def __init__(self, mat: Mat, memo: _Memo):
+        self.mat, self.memo = mat, memo
+
+    def chunks(self):
+        """The matrix's text, one row per chunk."""
+        if not self.mat.rows:
+            yield "[]"
+            return
+        rows = self._rows()
+        yield "[" + next(rows)[1:]
+        yield from rows
+        yield "]"
+
+    def _rows(self):
+        """Each row's text after a comma: a row with no nonzero is the shared
+        row of zeros, any other is runs of the zero literal with the
+        nonzeros' literals written in."""
+        m, memo = self.mat, self.memo
+        cols = m.cols
+        blank = memo.zero_row(cols)
+        zlit = memo.literal(m.field.zero)
+        zero = zlit + ","
+        lit = memo.literals.get  # no literal is "", so a miss is the only falsy result
+        done = 0
+        for i, cells in groupby(m.nonzeros(), itemgetter(0)):
+            yield from repeat(blank, i - done)
+            parts = [",["]
+            j0 = 0
+            for _, j, x in sorted(cells, key=itemgetter(1)):
+                parts += (zero * (j - j0), lit(x) or memo.literal(x), ",")
+                j0 = j + 1
+            if j0 < cols:
+                parts += (zero * (cols - j0 - 1), zlit, "]")
+            else:
+                parts[-1] = "]"
+            yield "".join(parts)
+            done = i + 1
+        yield from repeat(blank, m.rows - done)
 
 
 def emit_decrep(rep: DecRep) -> dict:
+    """The decrep's document tree; each matrix is a row writer, so write the
+    tree with ``dumps`` or ``dump``, not ``json``."""
     fld = rep.field
-    strs: dict = {}
+    memo = _Memo(fld)
     payload = {
-        "qp": _emit_qp_payload(rep.qp, strs),
+        "qp": _emit_qp_payload(rep.qp, memo),
         "dims": {str(v): rep.dims[v] for v in rep.qp.quiver.vertices},
         "decDims": {str(v): rep.dec_dims[v] for v in rep.qp.quiver.vertices},
-        "matrices": {a.id: _emit_matrix(rep.maps[a.id], fld, strs)
-                     for a in rep.qp.quiver.arrows},
+        "matrices": {a.id: _MatrixWriter(rep.maps[a.id], memo) for a in rep.qp.quiver.arrows},
     }
     return {
         "kind": "decrep",
@@ -155,8 +228,41 @@ def emit_substitution(phi: ArrowSubstitution) -> dict:
     return {"images": images}
 
 
+def _holds_matrix(x) -> bool:
+    """Whether ``x`` is a matrix writer or a dict with one inside.  Matrices
+    are dict values, so lists are not searched."""
+    return isinstance(x, _MatrixWriter) or (
+        isinstance(x, dict) and any(map(_holds_matrix, x.values())))
+
+
+def _value_chunks(x):
+    if isinstance(x, _MatrixWriter):
+        yield from x.chunks()
+    elif _holds_matrix(x):
+        sep = "{"
+        for k in sorted(x):
+            yield sep + encode_basestring_ascii(k) + ":"
+            yield from _value_chunks(x[k])
+            sep = ","
+        yield "}"
+    else:
+        yield json.dumps(x, sort_keys=True, separators=(",", ":"))
+
+
+def _chunks(doc: dict):
+    """The text of ``doc``: compact JSON with sorted keys, then a newline."""
+    yield from _value_chunks(doc)
+    yield "\n"
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(_chunks(doc))
+
+
+def dump(doc: dict, fh) -> None:
+    """Write ``dumps(doc)`` to the text file ``fh`` chunk by chunk, never
+    holding the whole text."""
+    fh.writelines(_chunks(doc))
 
 
 # -- parse ---------------------------------------------------------------

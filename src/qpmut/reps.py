@@ -4,7 +4,8 @@ A DecRep stores per-vertex dimensions, per-arrow exact matrices (shape
 dim_head x dim_tail; matrices act on column vectors, rightmost arrow first)
 and decoration dimensions.  Valid modules are nilpotent and annihilated by
 every cyclic derivative of the potential.  A module stores what depends on
-it alone when first computed: its nilpotency index, its endomorphism space
+it alone when first computed: its nilpotency index, its ``check_module``
+report (computed from its own maps, once per module), its endomorphism space
 End(M) (shared with any module of equal maps, see ``homs.hom_space``), and at
 each vertex its triangle and the composites M_b @ M_a through it.  A triangle
 injected into ``premutate_rep`` is never stored.
@@ -54,6 +55,7 @@ class DecRep:
                     f"expected {self.dims[a.head]}x{self.dims[a.tail]}"
                 )
         self._nilpotency_index: int | None = None
+        self._check: Report | None = None  # stored by check_module
         self._triangles: dict[int, TrianglePack] = {}
         self._composites: dict[int, dict[str, Mat]] = {}
         self._end = None  # End(self) as a homs.HomSpace, stored by hom_space
@@ -167,13 +169,17 @@ def derivative_actions(rep: DecRep) -> dict[str, Mat]:
 
 
 def check_module(rep: DecRep) -> Report:
-    """Verify nilpotency and that every cyclic derivative acts as zero."""
+    """Verify nilpotency and that every cyclic derivative acts as zero.  The
+    report is stored on ``rep``, so each module is checked once; no library
+    code changes a module after it is built."""
+    if rep._check is not None:
+        return rep._check
     rpt = Report("module")
-    if not rpt.note("nilpotent", rep.is_nilpotent()):
-        return rpt
-    acts = derivative_actions(rep)
-    for a in rep.qp.quiver.arrows:
-        rpt.note(f"derivative along {a.id!r} acts as zero", acts[a.id].is_zero())
+    if rpt.note("nilpotent", rep.is_nilpotent()):
+        acts = derivative_actions(rep)
+        for a in rep.qp.quiver.arrows:
+            rpt.note(f"derivative along {a.id!r} acts as zero", acts[a.id].is_zero())
+    rep._check = rpt
     return rpt
 
 

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from conftest import a2_qp, markov_qp, reference_intersection, MARKOV_K
-from qpmut import docio
+from qpmut import docio, reps
 from qpmut import (
     CONSTRUCTIONS,
     QP,
@@ -483,3 +483,31 @@ def test_deep_markov_walk_golden():
         text = docio.dumps(docio.emit_decrep(rep))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert docio.dumps(docio.emit_decrep(docio.loads(text))) == text
+
+
+def test_each_module_is_checked_once(monkeypatch):
+    """Loading and a six-step walk sum the derivative actions 13 times: once
+    at load, then per step once for the premutation and once for its
+    pullback, because each step's input check reads the report stored on its
+    module when that module was made.  A new module of the same maps checks
+    itself, and finds what the stored report says."""
+    calls = []
+    actions = reps.derivative_actions
+    monkeypatch.setattr(reps, "derivative_actions", lambda rep: calls.append(rep) or actions(rep))
+    walk = [docio.load_path(os.path.join(os.path.dirname(__file__), "..", "fixtures", "markov_rep.json"))]
+    for k in (3, 1, 2, 3, 1, 2):
+        walk.append(mutate_rep(walk[-1], k))
+    assert len(calls) == 13
+    bad = DecRep(markov_qp(), {1: 1, 2: 1, 3: 1},
+                 {"a1": Mat.identity(QQ, 1), "b1": Mat.identity(QQ, 1)}, {})
+    for m in walk + [bad]:
+        stored = check_module(m)
+        assert check_module(m) is stored
+        n = len(calls)
+        fresh = check_module(DecRep(m.qp, m.dims, m.maps, m.dec_dims))
+        assert len(calls) == n + 1
+        assert fresh.checks == stored.checks
+        assert [name for name, _ in fresh.checks] == ["nilpotent"] + [
+            f"derivative along {a.id!r} acts as zero" for a in m.qp.quiver.arrows]
+    assert all(check_module(m).ok for m in walk)
+    assert check_module(bad).failures == ["derivative along 'c1' acts as zero"]
