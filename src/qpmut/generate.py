@@ -15,7 +15,7 @@ import random
 from .cycles import cyclic_derivative, cyclic_normalize
 from .fields import QQ, Field
 from .jets import JetSpace
-from .linalg import Mat, block_diag, hstack, subspace_package
+from .linalg import Echelon, Mat, block_diag, subspace_package
 from .qp import QP
 from .quiver import Arrow, Path, Quiver
 from .reps import DecRep
@@ -128,7 +128,7 @@ def truncated_projective(qp: QP, ell: int, power: int) -> DecRep:
                 if i is not None:
                     col[i] = col.get(i, fld.zero) + x
             gens[c.tail].append(col)
-    gen_mats = {v: Mat.from_rows(fld, gens[v], dims[v]).T for v in q.vertices}
+    gen_mats = {v: Mat.from_rows(fld, gens[v], dims[v]) for v in q.vertices}
     return _quotient(qp, dims, maps, gen_mats, {v: 0 for v in q.vertices})
 
 
@@ -164,22 +164,23 @@ def base_change(rep: DecRep, rng: random.Random) -> tuple[DecRep, dict[int, Mat]
 def _quotient(qp: QP, dims: dict[int, int], maps: dict[str, Mat], gens: dict[int, Mat],
               dec: dict[int, int]) -> DecRep:
     """The quotient of the representation (dims, maps) by the submodule
-    generated by the columns of gens[v] at each vertex v.  The span is closed
-    under the arrows, and each arrow acts by proj @ (map @ section) through
-    subspace_package of the span, which depends only on the span."""
+    generated by the rows of gens[v] at each vertex v.  The span at each
+    vertex is kept as the rows of an echelon, and closed under the arrows by
+    mapping each row along each arrow out of its vertex once.  Each arrow
+    acts by proj @ (map @ section) through subspace_package of the span,
+    which depends only on the span."""
     fld = qp.field
     q = qp.quiver
-    spans = {v: gens[v].image_basis() for v in q.vertices}
-    changed = True
-    while changed:
-        changed = False
+    spans = {v: Echelon(fld).add(gens[v]) for v in q.vertices}
+    tr = {a.id: maps[a.id].T for a in q.arrows}
+    done = dict.fromkeys(tr, 0)  # rows of the tail's span mapped along each arrow
+    while any(len(spans[a.tail]) > done[a.id] for a in q.arrows):
         for a in q.arrows:
-            img = maps[a.id] @ spans[a.tail]
-            combined = hstack(fld, [spans[a.head], img], rows=dims[a.head]).image_basis()
-            if combined.cols > spans[a.head].cols:
-                spans[a.head] = combined
-                changed = True
-    packs = {v: subspace_package(spans[v]) for v in q.vertices}
+            src = spans[a.tail]
+            spans[a.head].add_images(src, tr[a.id], done[a.id])
+            done[a.id] = len(src)
+    packs = {v: subspace_package(Mat.from_rows(fld, list(spans[v].piv.values()), dims[v]).T)
+             for v in q.vertices}
     quotient_maps = {a.id: packs[a.head][1] @ (maps[a.id] @ packs[a.tail][2]) for a in q.arrows}
     return DecRep(qp, {v: packs[v][1].rows for v in q.vertices}, quotient_maps, dict(dec))
 
@@ -192,8 +193,8 @@ def random_quotient(rep: DecRep, rng: random.Random) -> DecRep:
     if not verts:
         return rep
     v0 = rng.choice(verts)
-    gens = {v: Mat.zero(fld, rep.dims[v], 0) for v in q.vertices}
-    gens[v0] = Mat(fld, [[fld.of(rng.randint(-1, 1))] for _ in range(rep.dims[v0])])
+    gens = {v: Mat.zero(fld, 0, rep.dims[v]) for v in q.vertices}
+    gens[v0] = Mat(fld, [[fld.of(rng.randint(-1, 1)) for _ in range(rep.dims[v0])]])
     return _quotient(rep.qp, rep.dims, rep.maps, gens, rep.dec_dims)
 
 

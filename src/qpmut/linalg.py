@@ -10,18 +10,23 @@ transposed in O(1).  ``take_rows`` and ``take_cols`` also cost their index
 lists, ``T``, ``+`` and ``hstack`` the sort of the rows they make, and a
 kernel basis the columns it has (it is the identity at the free columns).
 Only this module sees the dicts; ``nonzeros()`` yields ``(i, j, x)`` for
-every nonzero to other modules.  Elimination keeps a column index, the set of
-rows with a nonzero in each column, so it too costs the nonzeros it touches.
-It returns the reduced row echelon form, which is unique: every answer is
-read off one RREF, so every basis, retraction and quotient produced here is
-deterministic whatever the elimination order.  A kernel basis comes with its
-retraction: the basis is the identity at the free columns, so the identity's
-rows at those columns give the coordinates of any kernel vector.  The
-complement of a subspace is spanned by the standard basis vectors at the
-pivot columns of [basis | I] past the basis itself.
+every nonzero to other modules.  Every elimination inserts rows into one
+kernel, an ``Echelon``: a new row is cleared at the stored pivots it meets,
+so insertion costs the entries the rows meet, not the matrix's shape.  Rank
+and spans read the echelon as it is; ``rref`` inserts its rows sparsest
+first and then back-substitutes.  The reduced row echelon form is unique:
+every answer is read off one RREF, so every basis, retraction and quotient
+produced here is deterministic whatever the elimination order.  A kernel
+basis comes with its retraction: the basis is the identity at the free
+columns, so the identity's rows at those columns give the coordinates of any
+kernel vector.  The complement of a subspace is spanned by the standard
+basis vectors at the pivot columns of [basis | I] past the basis itself.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from itertools import islice
 
 from .errors import NotInvertibleError, ShapeError
 from .fields import Field
@@ -161,18 +166,7 @@ class Mat:
         if self.cols != other.rows:
             raise ShapeError(f"matmul {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         right = other._nz
-        out = {}
-        for i, row in self._nz.items():
-            acc: dict = {}
-            for k, a in row.items():
-                if k not in right:
-                    continue
-                for j, y in right[k].items():
-                    x = acc.get(j)
-                    acc[j] = a * y if x is None else x + a * y
-            acc = {j: x for j, x in acc.items() if x}
-            if acc:
-                out[i] = acc
+        out = {i: s for i, row in self._nz.items() if (s := _times(row, right))}
         return Mat._of(self.field, out, self.rows, other.cols)
 
     @property
@@ -199,52 +193,12 @@ class Mat:
 
     # -- elimination ---------------------------------------------------
     def rref(self) -> tuple["Mat", list[int]]:
-        """Reduced row echelon form and pivot column indices.
-
-        A column index maps each column to the set of rows with a nonzero
-        there, kept up to date on fill-in and cancellation.  Each pivot step
-        touches only the rows in the pivot column's set, and in them only the
-        pivot row's nonzero columns: never rows x columns."""
-        one, rows = self.field.one, {i: dict(r) for i, r in self._nz.items()}
-        where: dict[int, set[int]] = {}
-        for i, r in rows.items():
-            for j in r:
-                where.setdefault(j, set()).add(i)
-        # fill-in lands only in columns where the pivot row is nonzero, so no
-        # column joins the index: its sorted keys are every candidate column
-        done: dict[int, int] = {}  # pivot row -> pivot column, in order
-        for col in sorted(where):
-            hits = where.pop(col)
-            cands = hits.difference(done)
-            if not cands:
-                continue
-            # the sparsest candidate as pivot row creates the least fill-in
-            p = min(cands, key=lambda i: (len(rows[i]), i)) if len(cands) > 1 else cands.pop()
-            hits.remove(p)
-            inv = self.field.inv(rows[p].pop(col))
-            tail = {j: x * inv for j, x in rows[p].items()}
-            rows[p] = {col: one, **tail}
-            done[p] = col
-            for i in hits:
-                r = rows[i]
-                f = r.pop(col)
-                for j, y in tail.items():
-                    x = r.get(j)
-                    if x is None:
-                        r[j] = -f * y
-                        where[j].add(i)
-                        continue
-                    x -= f * y
-                    if x:
-                        r[j] = x
-                    else:
-                        del r[j]
-                        where[j].remove(i)
-        out = {c: rows[p] for c, p in enumerate(done)}
-        return Mat._of(self.field, out, self.rows, self.cols), list(done.values())
+        """Reduced row echelon form and pivot column indices: the rows,
+        sparsest first, inserted into an echelon, then back-substituted."""
+        return Echelon(self.field).add(self).reduced(self.rows, self.cols)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(Echelon(self.field).add(self))
 
     def kernel_basis(self) -> "Mat":
         """Columns form a basis of the null space (deterministic)."""
@@ -284,6 +238,118 @@ class Mat:
         if sum(map(len, nz.values())) == self.rows == len({j for r in nz.values() for j in r}):
             return True
         return self.rank() == self.rows
+
+
+def _times(row: dict, right: dict) -> dict:
+    """The row vector ``row`` times the matrix whose row table is ``right``:
+    each nonzero of ``row`` picks a stored row of ``right``."""
+    acc: dict = {}
+    summed = False  # a product of nonzeros is nonzero; only a sum can cancel
+    for k, a in row.items():
+        if k not in right:
+            continue
+        for j, y in right[k].items():
+            x = acc.get(j)
+            if x is None:
+                acc[j] = a * y
+            else:
+                acc[j], summed = x + a * y, True
+    return {j: x for j, x in acc.items() if x} if summed else acc
+
+
+class Echelon:
+    """The one elimination kernel: a row echelon form that rows are inserted
+    into.  Rank and spans read it as it is; ``reduced`` back-substitutes.
+
+    ``piv`` maps each pivot column, in insertion order, to its row, whose
+    least column is that pivot, with a one there; each row is zero at the
+    pivots stored before it.  No stored row is changed, so a matrix row that
+    insertion leaves as it is is stored itself."""
+
+    __slots__ = ("field", "one", "inv", "piv")
+
+    def __init__(self, field: Field):
+        self.field, self.one, self.inv = field, field.one, field.inv
+        self.piv: dict[int, dict] = {}
+
+    def __len__(self) -> int:
+        return len(self.piv)
+
+    def insert(self, row: dict) -> None:
+        """Clear the row at the stored pivots, least column first, and store
+        what is left, if anything, scaled to a one at its lead."""
+        piv = self.piv
+        if not piv.keys().isdisjoint(row):
+            hits = [j for j in row if j in piv]
+            row = dict(row)  # the first change copies
+            heapify(hits)
+            while hits:
+                j = heappop(hits)
+                f = row.get(j)
+                if f is None:  # it cancelled, or was pushed twice
+                    continue
+                # the pivot row's one at j clears j; fill-in lands right of j
+                for k, y in piv[j].items():
+                    x = row.get(k)
+                    if x is None:
+                        row[k] = -f * y
+                        if k in piv:
+                            heappush(hits, k)
+                    elif x := x - f * y:
+                        row[k] = x
+                    else:
+                        del row[k]
+        if not row:
+            return
+        lead = min(row)
+        if (c := row[lead]) != self.one:
+            c = self.inv(c)
+            row = {k: x * c for k, x in row.items()}
+            row[lead] = self.one
+        piv[lead] = row
+
+    def add(self, m: "Mat") -> "Echelon":
+        """Insert the rows of m, sparsest first."""
+        for row in sorted(m._nz.values(), key=len):
+            self.insert(row)
+        return self
+
+    def add_images(self, src: "Echelon", m: "Mat", start: int = 0) -> None:
+        """Insert r @ m for each row r of ``src`` from its ``start``-th on."""
+        right = m._nz
+        for row in islice(src.piv.values(), start, None):
+            if image := _times(row, right):
+                self.insert(image)
+
+    def reduced(self, rows: int, cols: int) -> tuple["Mat", list[int]]:
+        """The RREF, as a rows x cols matrix, and its pivot columns.  Each
+        pivot is cleared from the rows nonzero there, found by an index,
+        last pivot first: the pivot row is then zero at every later pivot,
+        so fill-in lands only at free columns and the index never grows."""
+        piv = self.piv
+        out = dict(piv)
+        where: dict[int, list[int]] = {}
+        for p, row in piv.items():
+            for k in row:
+                if k != p and k in piv:
+                    where.setdefault(k, []).append(p)
+        for p in sorted(where, reverse=True):
+            src = out[p]
+            for q in where[p]:
+                row = out[q]
+                if row is piv[q]:
+                    row = out[q] = dict(row)
+                f = row[p]
+                for k, y in src.items():  # the one at p clears p
+                    x = row.get(k)
+                    if x is None:
+                        row[k] = -f * y
+                    elif x := x - f * y:
+                        row[k] = x
+                    else:
+                        del row[k]
+        pivots = sorted(piv)
+        return Mat._of(self.field, {c: out[p] for c, p in enumerate(pivots)}, rows, cols), pivots
 
 
 def kernel_from_rref(R: Mat, pivots: list[int]) -> tuple[Mat, Mat]:

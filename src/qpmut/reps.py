@@ -19,6 +19,7 @@ from .cycles import second_derivative
 from .errors import ContextError, InvariantError, Report, ShapeError, TruncationTooSmall
 from .jets import JetPoly
 from .linalg import (
+    Echelon,
     Mat,
     hstack,
     kernel_from_rref,
@@ -74,31 +75,36 @@ class DecRep:
         """Smallest d such that every path of length d acts as zero; raises
         if the representation is not nilpotent.
 
-        The images of the paths of length d span a subspace at each vertex,
-        kept as the nonzero rows of an RREF, so the arrows act through their
-        transposes.  The filtration starts from the images of the arrows
-        (d = 1), each round applies every arrow to the last, and the index is
-        the first d whose spans are all zero.  The spans only shrink, so once
+        A path acts as zero exactly when its matrix has no nonzero row.  The
+        rows of the matrices of the paths of length d that start at a vertex
+        span a subspace there, kept as the rows of an echelon, so no map is
+        transposed.  The spans start from the rows of the arrows' maps
+        (d = 1).  A path of length d + 1 is an arrow a followed by a path of
+        length d, so each round inserts r @ M_a at the tail of a for each row
+        r of the last span at its head; arrows with zero maps are skipped,
+        and an echelon is opened only where such rows arrive.  The index is
+        the first d whose spans are all zero.  A path of length d + 1 also
+        begins with a path of length d, so the spans only shrink, and once
         their total dimension fails to shrink it never will: not nilpotent."""
         if self._nilpotency_index is not None:
             return self._nilpotency_index
-        q = self.qp.quiver
         fld = self.field
-        tr = {a.id: self.maps[a.id].T for a in q.arrows}
-        spans = None  # the paths of length 0 act as identities, never built
+        nonzero = [(a, m) for a in self.qp.quiver.arrows if not (m := self.maps[a.id]).is_zero()]
+        spans: dict[int, Echelon] = {}  # the paths of length 0 act as identities, never built
         d, total = 0, self.total_dim()
         while total:
-            new: dict[int, list[Mat]] = {v: [] for v in q.vertices}
-            for a in q.arrows:
-                img = tr[a.id] if spans is None else spans[a.tail] @ tr[a.id]
-                if img.rows:
-                    new[a.head].append(img)
-            spans = {}
-            for v, ms in new.items():
-                R, piv = vstack(fld, ms).rref() if ms else (Mat.zero(fld, 0, self.dims[v]), [])
-                spans[v] = R.take_rows(list(range(len(piv))))
+            new: dict[int, Echelon] = {}
+            for a, m in nonzero:
+                if d and not spans.get(a.head):
+                    continue
+                e = new[a.tail] if a.tail in new else new.setdefault(a.tail, Echelon(fld))
+                if d:
+                    e.add_images(spans[a.head], m)
+                else:
+                    e.add(m)
+            spans = new
             d += 1
-            shrunk = sum(m.rows for m in spans.values())
+            shrunk = sum(map(len, spans.values()))
             if shrunk >= total:
                 raise InvariantError("representation is not nilpotent")
             total = shrunk

@@ -8,7 +8,17 @@ import pytest
 from qpmut import QP, JetSpace, Potential, Quiver, Arrow
 from qpmut.cycles import cyclic_normalize
 from qpmut.fields import QQ
-from qpmut.linalg import Mat, hstack
+from qpmut.linalg import Echelon, Mat, hstack
+
+
+def count_eliminations(monkeypatch) -> list:
+    """A list that grows by one at each elimination from now on: every
+    elimination (RREF, rank, nilpotency span, generated span) opens one
+    echelon."""
+    calls = []
+    init = Echelon.__init__
+    monkeypatch.setattr(Echelon, "__init__", lambda self, field: calls.append(1) or init(self, field))
+    return calls
 
 
 def markov_quiver() -> Quiver:

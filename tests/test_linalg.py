@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from conftest import markov_qp, reference_intersection
+from conftest import count_eliminations, markov_qp, reference_intersection
 from qpmut import QQ, ShapeError, build_triangle
 from qpmut.fields import PrimeField
 from qpmut.generate import random_valid_module
 from qpmut.linalg import (
+    Echelon,
     Mat,
     block_diag,
     coords_in,
@@ -59,9 +61,30 @@ def test_rref_equals_sympy_exactly():
         assert tuple(pivots) == sympy_pivots
 
 
+def _gauss_jordan(field, rows: list[list], cols: int):
+    """Reference RREF over any field: the textbook dense elimination, column
+    by column, clearing the pivot column in every other row."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(cols):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        inv = field.inv(a[top][c])
+        a[top] = [x * inv for x in a[top]]
+        for i in range(len(a)):
+            if i != top and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[top])]
+        pivots.append(c)
+    return a, pivots
+
+
 def _gauss_jordan_mod(rows: list[list[int]], cols: int, p: int):
-    """Reference RREF over F_p: the textbook dense elimination, column by
-    column, clearing the pivot column in every other row."""
+    """``_gauss_jordan`` over F_p in int arithmetic, fast enough for the
+    large matrices below."""
     a = [[x % p for x in r] for r in rows]
     pivots = []
     for c in range(cols):
@@ -78,6 +101,67 @@ def _gauss_jordan_mod(rows: list[list[int]], cols: int, p: int):
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[top])]
         pivots.append(c)
     return a, pivots
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """(field, dense rows, cols) over QQ (Fraction entries), GF(2) or GF(7):
+    mostly zero, with a dense block, zero rows and duplicated rows; any
+    dimension may be 0."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if field == QQ:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        entry = st.integers(0, field.p - 1).map(field.of)
+    zero = field.zero
+    a = [[draw(entry) if draw(st.integers(0, 3)) == 0 else zero for _ in range(cols)] for _ in range(rows)]
+    if rows and cols and draw(st.booleans()):
+        r0, c0 = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        r1, c1 = draw(st.integers(r0, rows - 1)), draw(st.integers(c0, cols - 1))
+        for i in range(r0, r1 + 1):
+            for j in range(c0, c1 + 1):
+                a[i][j] = draw(entry)
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a[draw(st.integers(0, rows - 1))] = [zero] * cols
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a[draw(st.integers(0, rows - 1))] = list(a[draw(st.integers(0, rows - 1))])
+    return field, a, cols
+
+
+def _mat(field, a, cols):
+    return Mat.from_rows(field, [dict(enumerate(r)) for r in a], cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices())
+def test_echelon_rref_and_rank_match_dense_gauss_jordan(drawn):
+    field, a, cols = drawn
+    m = _mat(field, a, cols)
+    R, pivots = m.rref()
+    want, want_pivots = _gauss_jordan(field, a, cols)
+    assert pivots == want_pivots
+    assert R.data == tuple(map(tuple, want))
+    assert m.rank() == len(pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices(), st.randoms(use_true_random=False))
+def test_echelon_reduces_rows_inserted_in_any_order_to_the_rref(drawn, rnd):
+    field, a, cols = drawn
+    m = _mat(field, a, cols)
+    rows = [{j: x for j, x in enumerate(r) if x} for r in a]
+    rnd.shuffle(rows)
+    e = Echelon(field)
+    for r in rows:
+        e.insert(r)
+    # each stored row leads with a one at its pivot and is zero at the
+    # pivots stored before it
+    for n, (p, r) in enumerate(e.piv.items()):
+        assert min(r) == p and r[p] == field.one
+        assert not set(r) & set(list(e.piv)[:n])
+    assert e.reduced(m.rows, m.cols) == m.rref()
+    assert len(e) == m.rank()
 
 
 def test_rref_over_fp_matches_reference():
@@ -125,7 +209,7 @@ def _sympy_rref(ints, rows, cols):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "Fp7"])
-def test_rref_column_index_survives_fill_in_and_cancellation(field):
+def test_rref_survives_fill_in_and_cancellation(field):
     rng = random.Random(13)
     shapes = [(0, 0), (0, 7), (7, 0), (6, 6), (150, 200), (150, 1), (1, 200)]
     shapes += [(rng.randint(1, 150), rng.randint(1, 200)) for _ in range(20)]
@@ -236,9 +320,7 @@ def test_is_invertible_is_square_and_full_rank(field, monkeypatch):
         if n > 1:
             a, b = rng.sample(range(n), 2)  # column a copied onto column b
             mats.append(Mat.from_rows(field, [{**r, b: r.get(a, field.zero)} for r in rows], n))
-    calls = []
-    rref = Mat.rref
-    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    calls = count_eliminations(monkeypatch)
     seen = set()
     for m in mats:
         want = m.rows == m.cols and m.rank() == m.rows
@@ -630,7 +712,7 @@ def test_integral_fractions_from_rref_and_products_emit_and_hash_like_ints():
     def integral_fractions(m):
         return [x for _, _, x in m.nonzeros() if type(x) is Fraction and x.denominator == 1]
 
-    R, _ = Mat.from_int_rows(QQ, [[2, 4, 6], [1, 3, 5]]).rref()
+    R, _ = Mat.from_int_rows(QQ, [[2, 0, -2], [1, 1, 1]]).rref()
     prod = Mat(QQ, [[Fraction(1, 2), Fraction(3, 2)]]) @ Mat.from_int_rows(QQ, [[4], [2]])
     made = integral_fractions(R) + integral_fractions(prod)
     assert made == [-1, 2, 5] and integral_fractions(prod)

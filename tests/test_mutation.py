@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import a2_qp, markov_qp, reference_intersection, MARKOV_K
+from conftest import a2_qp, count_eliminations, markov_qp, reference_intersection, MARKOV_K
 from qpmut import docio, reps
 from qpmut import (
     CONSTRUCTIONS,
@@ -146,39 +146,35 @@ def test_pushout_premutation_costs_one_elimination(markov, monkeypatch):
         t = build_triangle(rep, MARKOV_K)
         if not t.gamma.is_zero():
             break
-    calls = []
-    rref = Mat.rref
-    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    calls = count_eliminations(monkeypatch)
     premutate_rep(rep, MARKOV_K, "pushout", require_valid=False, triangle=t)
     assert len(calls) == 1
 
 
-def test_constructions_agree_costs_thirteen_eliminations(monkeypatch):
-    # the triangle's 7, the first premutation's module check (3), the
+def test_constructions_agree_costs_eleven_eliminations(monkeypatch):
+    # the triangle's 7, the first premutation's module check (1: only b1*
+    # and b2* act nonzero, so its nilpotency spans need one echelon, at
+    # their tail 2, and their rows times the maps reach no other vertex), the
     # pushout's quotient package and 2 inversions: the amalgam's F is the
     # identity and is not inverted.  The 6 isomorphisms are identities away
     # from k and monomial at k (every F of this module is the identity), so
     # their 18 rank tests need no elimination.
     rep = docio.load_path("fixtures/markov_rep.json")
-    calls = []
-    rref = Mat.rref
-    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    calls = count_eliminations(monkeypatch)
     assert constructions_agree(rep, MARKOV_K).ok
-    assert len(calls) == 13
+    assert len(calls) == 11
 
 
 def test_second_constructions_agree_reuses_the_stored_triangle_and_qp(monkeypatch):
-    # of the first call's 13, the triangle's 7 are gone: it is stored on the
-    # module.  The output's module check (3), the pushout's quotient package
+    # of the first call's 11, the triangle's 7 are gone: it is stored on the
+    # module.  The output's module check (1), the pushout's quotient package
     # and 2 inversions remain.  The premutations that follow reuse the
     # triangle; only the pushout eliminates, for its quotient package.
     rep = docio.load_path("fixtures/markov_rep.json")
     assert constructions_agree(rep, MARKOV_K).ok
-    calls = []
-    rref = Mat.rref
-    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    calls = count_eliminations(monkeypatch)
     assert constructions_agree(rep, MARKOV_K).ok
-    assert len(calls) == 6
+    assert len(calls) == 4
     per_kind = []
     for kind in CONSTRUCTIONS:
         calls.clear()

@@ -6,16 +6,20 @@ import random
 
 import pytest
 
-from conftest import a2_qp, markov_qp, markov_quiver, reference_intersection, MARKOV_K
+from conftest import a2_qp, count_eliminations, markov_qp, markov_quiver, reference_intersection, MARKOV_K
 from qpmut import docio
 from qpmut import (
     GF,
     QP,
+    Arrow,
     CertificateError,
     DecRep,
+    InvariantError,
     JetSpace,
     Mat,
+    Potential,
     QQ,
+    Quiver,
     Report,
     TruncationTooSmall,
     build_triangle,
@@ -156,6 +160,57 @@ def test_nilpotency_index_matches_brute_force(markov):
             assert rep.nilpotency_index() == want
         seen.add(want)
     assert None in seen and {0, 1, 2, 3, 4} <= seen
+
+
+def _index_by_path_products(rep):
+    """The least d at which the maps multiplied along every path of length d
+    give zero, from the maps themselves; InvariantError when the paths of
+    length total_dim still do not (then no length does).  The nonzero
+    products are kept once per (tail, head, value)."""
+    q = rep.qp.quiver
+    prods = {(v, v, frozenset(i.nonzeros())): i for v in q.vertices
+             if (i := Mat.identity(rep.field, rep.dims[v])).rows}
+    for d in range(rep.total_dim() + 1):
+        if not prods:
+            return d
+        longer = {}
+        for (t, h, _), m in prods.items():
+            for a in q.arrows_out_of(h):
+                if not (p := rep.maps[a.id] @ m).is_zero():
+                    longer[t, a.head, frozenset(p.nonzeros())] = p
+        prods = longer
+    raise InvariantError("a path of length total_dim acts nonzero")
+
+
+def test_nilpotency_index_agrees_with_path_products_over_each_field():
+    rng = random.Random(53)
+    qps = [markov_qp(field=f) for f in (QQ, GF(2), GF(7))]
+    for f in (QQ, GF(2)):  # a 2-cycle with a tail, and a line
+        for q in (Quiver((1, 2, 3), (Arrow("a", 1, 2), Arrow("b", 2, 1), Arrow("c", 2, 3))),
+                  Quiver((1, 2, 3), (Arrow("a", 1, 2), Arrow("b", 2, 3)))):
+            qps.append(QP(q, Potential(JetSpace(q, 6, f).zero())))
+    seen = set()
+    for qp in qps:
+        fld = qp.field
+        for _ in range(40):
+            dims = {v: rng.randint(0, 2) for v in qp.quiver.vertices}
+            maps = {a.id: Mat.from_rows(fld, [{j: fld.of(rng.choice([-1, 0, 0, 1])) for j in range(dims[a.tail])}
+                                              for _ in range(dims[a.head])], dims[a.tail])
+                    for a in qp.quiver.arrows}
+            rep = DecRep(qp, dims, maps, {})
+            try:
+                want = _index_by_path_products(rep)
+            except InvariantError:
+                with pytest.raises(InvariantError):
+                    rep.nilpotency_index()
+                want = None
+            else:
+                assert rep.nilpotency_index() == want
+            seen.add((want, 0 in dims.values()))
+    indices = {want for want, _ in seen}
+    assert None in indices and {0, 1, 2, 3} <= indices
+    # vertices of dimension 0 in modules of both kinds
+    assert (None, True) in seen and any(want and zero for want, zero in seen)
 
 
 def test_nilpotency_index_edge_cases(markov):
@@ -352,9 +407,7 @@ def test_triangle_read_offs_match_the_general_derivation(field):
 def test_triangle_costs_seven_eliminations(monkeypatch):
     # alpha, beta and gamma, three quotient packages and rank(beta alpha)
     rep = docio.load_path("fixtures/markov_rep.json")
-    calls = []
-    rref = Mat.rref
-    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    calls = count_eliminations(monkeypatch)
     build_triangle(rep, MARKOV_K)
     assert len(calls) == 7
 
@@ -362,9 +415,7 @@ def test_triangle_costs_seven_eliminations(monkeypatch):
 def test_triangle_is_built_once_per_module_and_vertex(monkeypatch):
     rep = docio.load_path("fixtures/markov_rep.json")
     t = build_triangle(rep, MARKOV_K)
-    calls = []
-    rref = Mat.rref
-    monkeypatch.setattr(Mat, "rref", lambda self: calls.append(1) or rref(self))
+    calls = count_eliminations(monkeypatch)
     assert build_triangle(rep, MARKOV_K) is t
     assert calls == []
     # an equal module that is another object builds its own, equal pack
