@@ -103,10 +103,6 @@ class _Memo:
         return r
 
 
-def _field_tag(field: Field) -> str:
-    return field.name
-
-
 # -- emit ----------------------------------------------------------------
 
 def emit_quiver_payload(q: Quiver) -> dict:
@@ -127,7 +123,7 @@ def emit_quiver(q: Quiver, field: Field, trunc: int) -> dict:
     return {
         "kind": "quiver",
         "version": FORMAT_VERSION,
-        "field": _field_tag(field),
+        "field": field.name,
         "trunc": trunc,
         "payload": emit_quiver_payload(q),
     }
@@ -144,7 +140,7 @@ def emit_qp(qp: QP) -> dict:
     return {
         "kind": "qp",
         "version": FORMAT_VERSION,
-        "field": _field_tag(qp.field),
+        "field": qp.field.name,
         "trunc": qp.order,
         "payload": payload,
     }
@@ -210,7 +206,7 @@ def emit_decrep(rep: DecRep) -> dict:
     return {
         "kind": "decrep",
         "version": FORMAT_VERSION,
-        "field": _field_tag(fld),
+        "field": fld.name,
         "trunc": rep.qp.order,
         "payload": payload,
     }

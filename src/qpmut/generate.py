@@ -179,7 +179,7 @@ def _quotient(qp: QP, dims: dict[int, int], maps: dict[str, Mat], gens: dict[int
             src = spans[a.tail]
             spans[a.head].add_images(src, tr[a.id], done[a.id])
             done[a.id] = len(src)
-    packs = {v: subspace_package(Mat.from_rows(fld, list(spans[v].piv.values()), dims[v]).T)
+    packs = {v: subspace_package(spans[v].span(dims[v]).T)
              for v in q.vertices}
     quotient_maps = {a.id: packs[a.head][1] @ (maps[a.id] @ packs[a.tail][2]) for a in q.arrows}
     return DecRep(qp, {v: packs[v][1].rows for v in q.vertices}, quotient_maps, dict(dec))

@@ -261,24 +261,24 @@ class Echelon:
     """The one elimination kernel: a row echelon form that rows are inserted
     into.  Rank and spans read it as it is; ``reduced`` back-substitutes.
 
-    ``piv`` maps each pivot column, in insertion order, to its row, whose
+    ``_piv`` maps each pivot column, in insertion order, to its row, whose
     least column is that pivot, with a one there; each row is zero at the
     pivots stored before it.  No stored row is changed, so a matrix row that
-    insertion leaves as it is is stored itself."""
+    insertion leaves as it is is stored itself, and ``span`` shares them."""
 
-    __slots__ = ("field", "one", "inv", "piv")
+    __slots__ = ("field", "one", "inv", "_piv")
 
     def __init__(self, field: Field):
         self.field, self.one, self.inv = field, field.one, field.inv
-        self.piv: dict[int, dict] = {}
+        self._piv: dict[int, dict] = {}
 
     def __len__(self) -> int:
-        return len(self.piv)
+        return len(self._piv)
 
     def insert(self, row: dict) -> None:
         """Clear the row at the stored pivots, least column first, and store
         what is left, if anything, scaled to a one at its lead."""
-        piv = self.piv
+        piv = self._piv
         if not piv.keys().isdisjoint(row):
             hits = [j for j in row if j in piv]
             row = dict(row)  # the first change copies
@@ -317,16 +317,21 @@ class Echelon:
     def add_images(self, src: "Echelon", m: "Mat", start: int = 0) -> None:
         """Insert r @ m for each row r of ``src`` from its ``start``-th on."""
         right = m._nz
-        for row in islice(src.piv.values(), start, None):
+        for row in islice(src._piv.values(), start, None):
             if image := _times(row, right):
                 self.insert(image)
+
+    def span(self, cols: int) -> "Mat":
+        """The stored rows, in insertion order, as a matrix with ``cols``
+        columns; no row is copied."""
+        return Mat._of(self.field, dict(enumerate(self._piv.values())), len(self._piv), cols)
 
     def reduced(self, rows: int, cols: int) -> tuple["Mat", list[int]]:
         """The RREF, as a rows x cols matrix, and its pivot columns.  Each
         pivot is cleared from the rows nonzero there, found by an index,
         last pivot first: the pivot row is then zero at every later pivot,
         so fill-in lands only at free columns and the index never grows."""
-        piv = self.piv
+        piv = self._piv
         out = dict(piv)
         where: dict[int, list[int]] = {}
         for p, row in piv.items():

@@ -38,7 +38,6 @@ from .reps import (
     build_triangle,
     check_module,
     component_action,
-    composite_maps,
     is_isomorphism,
 )
 from .subst import ArrowSubstitution
@@ -140,8 +139,9 @@ def premutate_rep(
 ) -> PremutedRep:
     """Build the premutated decorated representation at k over the
     premutated QP and the triangle at k, both stored on the objects they come
-    from, so every premutation of one module at k shares them.  An injected
-    ``triangle`` is used as given and never stored."""
+    from, so every premutation of one module at k shares them; the triangle
+    supplies the composite maps [ba] = M_b @ M_a.  An injected ``triangle``
+    is used as given, composites included, and never stored."""
     if construction not in CONSTRUCTIONS:
         raise InvariantError(f"unknown construction {construction!r}")
     if require_valid:
@@ -170,7 +170,7 @@ def premutate_rep(
     for a in qp.quiver.arrows:
         if a.head != k and a.tail != k:
             maps[a.id] = rep.maps[a.id]
-    maps.update(composite_maps(rep, k))
+    maps.update(t.composites)
     # rows of beta_bar per incoming arrow, columns of alpha_bar per outgoing
     off = 0
     for aid, d in zip(t.in_arrows, t.in_dims):

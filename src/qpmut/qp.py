@@ -80,13 +80,6 @@ class QP:
     def _premutations(self) -> dict[int, "QP"]:
         return {}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QP)
-            and other.quiver == self.quiver
-            and other.potential == self.potential
-        )
-
 
 def _require_admissible(q: Quiver, k: int) -> None:
     if k not in q.vertices:

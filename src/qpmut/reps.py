@@ -7,8 +7,8 @@ every cyclic derivative of the potential.  A module stores what depends on
 it alone when first computed: its nilpotency index, its ``check_module``
 report (computed from its own maps, once per module), its endomorphism space
 End(M) (shared with any module of equal maps, see ``homs.hom_space``), and at
-each vertex its triangle and the composites M_b @ M_a through it.  A triangle
-injected into ``premutate_rep`` is never stored.
+each vertex its triangle, which holds the composites M_b @ M_a through it.  A
+triangle injected into ``premutate_rep`` is never stored.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ class DecRep:
                 )
         self._nilpotency_index: int | None = None
         self._check: Report | None = None  # stored by check_module
-        self._triangles: dict[int, TrianglePack] = {}
-        self._composites: dict[int, dict[str, Mat]] = {}
+        self._triangles: dict[int, TrianglePack] = {}  # stored by build_triangle
         self._end = None  # End(self) as a homs.HomSpace, stored by hom_space
 
     @property
@@ -210,176 +209,94 @@ def is_isomorphism(m: DecRep, n: DecRep, f: dict[int, Mat]) -> bool:
     ) and is_intertwiner(m, n, f)
 
 
-@dataclass
 class TrianglePack:
-    """Everything the mutation constructions need at one vertex.
+    """Everything the mutation constructions need at one vertex k, each datum
+    computed once, in the constructor, and named once.
 
     The triangle is alpha: M_in -> M_k, beta: M_k -> M_out and
-    gamma: M_out -> M_in.  Bases are column matrices in ambient coordinates;
-    retraction/projection maps are written in the displayed coordinate
-    systems.  Three eliminations (of alpha, beta and gamma), three quotient
-    packages and one rank make the whole pack:
-
-      ker_alpha, ker_gamma : kernel bases from the RREFs of alpha and gamma
-      im_beta, im_gamma    : the pivot columns of beta and gamma
-      rho      : M_out -> ker gamma coords, gamma's kernel retraction
-                 (rho @ ker_gamma = I, zero at gamma's pivot columns)
-      im_gamma_in_keralpha, gamma_in_keralpha : alpha's kernel retraction
-                 applied to im_gamma and gamma (exact, since alpha gamma = 0)
-      gamma_in_imgamma : the nonzero rows of gamma's RREF
-      s_section: im gamma coords -> M_out, the standard basis vectors at
-                 gamma's pivot columns (gamma @ s_section = im_gamma,
-                 rho @ s_section = 0)
-      pi1, s1  : quotient package of rho @ im_beta inside ker gamma
-                 (exact, since gamma beta = 0): (ker gamma / im beta) coords
-      pi2, sigma : quotient package of im_gamma_in_keralpha:
-                 (ker alpha / im gamma) coords
-      coker_p, coker_sec : quotient package of im_beta in M_out
-      dim_new_decoration : dim ker beta / (ker beta & im alpha)
-                 = dim ker beta - rank alpha + rank(beta alpha)
+    gamma: M_out -> M_in, with M_in and M_out the spaces at the tails of the
+    arrows into k and the heads of the arrows out of k, in arrow order.
+    Bases are column matrices in ambient coordinates; retraction/projection
+    maps are written in the displayed coordinate systems.  Three
+    eliminations (of alpha, beta and gamma), three quotient packages and one
+    rank make the whole pack.  Last come the composites M_b @ M_a for each
+    arrow a into k and b out of k, the premutated module's maps [ba], made
+    once here and shared by every premutation of the module at k.
     """
 
-    k: int
-    in_arrows: list[str]
-    out_arrows: list[str]
-    in_dims: list[int]
-    out_dims: list[int]
-    alpha: Mat
-    beta: Mat
-    gamma: Mat
-    ker_alpha: Mat
-    ker_gamma: Mat
-    rho: Mat
-    im_beta: Mat
-    im_gamma: Mat
-    im_gamma_in_keralpha: Mat
-    gamma_in_keralpha: Mat
-    gamma_in_imgamma: Mat
-    coker_p: Mat
-    coker_sec: Mat
-    pi1: Mat
-    s1: Mat
-    pi2: Mat
-    sigma: Mat
-    s_section: Mat
-    dim_new_decoration: int
+    def __init__(self, rep: DecRep, k: int):
+        q = rep.qp.quiver
+        fld = rep.field
+        maps = rep.maps
+        self.k = k
+        self.in_arrows = ins = [a.id for a in q.arrows_into(k)]
+        self.out_arrows = outs = [a.id for a in q.arrows_out_of(k)]
+        self.in_dims = [rep.dims[q.tail(a)] for a in ins]
+        self.out_dims = [rep.dims[q.head(b)] for b in outs]
+        self.d_in = sum(self.in_dims)
+        self.d_out = d_out = sum(self.out_dims)
+        dk = rep.dims[k]
 
-    @property
-    def d_in(self) -> int:
-        return self.alpha.cols
+        self.alpha = alpha = hstack(fld, [maps[a] for a in ins], rows=dk)
+        self.beta = beta = vstack(fld, [maps[b] for b in outs], cols=dk)
+        pot = rep.qp.potential
+        self.gamma = gamma = vstack(fld, [
+            hstack(fld, [component_action(rep, second_derivative(pot, b, a), q.tail(a), q.head(b))
+                         for b in outs], rows=d)
+            for a, d in zip(ins, self.in_dims)
+        ], cols=d_out)
 
-    @property
-    def d_out(self) -> int:
-        return self.beta.rows
+        # the read-offs below are exact only because these compositions vanish
+        if not (alpha @ gamma).is_zero() or not (gamma @ beta).is_zero():
+            raise InvariantError("triangle identities fail; module is invalid at k")
 
-    @property
-    def dim_kergamma_mod_imbeta(self) -> int:
-        return self.pi1.rows
+        # one elimination per map; kernels, images, ranks and pivots come from it
+        r_alpha, piv_alpha = alpha.rref()
+        _, piv_beta = beta.rref()
+        r_gamma, piv_gamma = gamma.rref()
+        # kernel bases from the RREFs; rho: M_out -> ker gamma coords is
+        # gamma's kernel retraction (rho @ ker_gamma = I, zero at gamma's
+        # pivot columns)
+        self.ker_alpha, ret_alpha = kernel_from_rref(r_alpha, piv_alpha)
+        self.ker_gamma, self.rho = kernel_from_rref(r_gamma, piv_gamma)
+        # the pivot columns of beta and gamma
+        self.im_beta = im_beta = beta.take_cols(piv_beta)
+        self.im_gamma = gamma.take_cols(piv_gamma)
+        self.dim_imgamma = len(piv_gamma)
+        self.dim_keralpha = self.ker_alpha.cols
 
-    @property
-    def dim_imgamma(self) -> int:
-        return self.im_gamma.cols
+        # alpha's kernel retraction applied to im_gamma (exact, since alpha gamma = 0)
+        self.im_gamma_in_keralpha = ret_alpha @ self.im_gamma
+        # quotient package of rho @ im_beta inside ker gamma (exact, since
+        # gamma beta = 0): (ker gamma / im beta) coords
+        _, self.pi1, self.s1 = subspace_package(self.rho @ im_beta)
+        self.dim_kergamma_mod_imbeta = self.pi1.rows
+        # quotient package of im_gamma_in_keralpha: (ker alpha / im gamma) coords
+        _, self.pi2, self.sigma = subspace_package(self.im_gamma_in_keralpha)
+        self.dim_keralpha_mod_imgamma = self.pi2.rows
+        # quotient package of im_beta in M_out
+        _, self.coker_p, self.coker_sec = subspace_package(im_beta)
+        self.dim_cokerbeta = self.coker_p.rows
 
-    @property
-    def dim_keralpha(self) -> int:
-        return self.ker_alpha.cols
-
-    @property
-    def dim_keralpha_mod_imgamma(self) -> int:
-        return self.pi2.rows
-
-    @property
-    def dim_cokerbeta(self) -> int:
-        return self.coker_p.rows
+        # dim ker beta / (ker beta & im alpha), where
+        # dim (ker beta & im alpha) = rank alpha - rank(beta alpha)
+        self.dim_new_decoration = dk - len(piv_beta) - len(piv_alpha) + (beta @ alpha).rank()
+        # alpha's kernel retraction applied to gamma (exact, since alpha gamma = 0)
+        self.gamma_in_keralpha = ret_alpha @ gamma
+        # the nonzero rows of gamma's RREF
+        self.gamma_in_imgamma = r_gamma.take_rows(list(range(len(piv_gamma))))
+        # im gamma coords -> M_out, the standard basis vectors at gamma's
+        # pivot columns (gamma @ s_section = im_gamma, rho @ s_section = 0)
+        self.s_section = Mat.identity(fld, d_out).take_cols(piv_gamma)
+        self.composites = {composite_name(b, a): maps[b] @ maps[a] for b in outs for a in ins}
 
 
 def build_triangle(rep: DecRep, k: int) -> TrianglePack:
-    """Assemble the incoming/outgoing/second-derivative triangle at k and all
-    derived subspace data, each read off the elimination that defines it.
-    It is built once per module and k and stored on ``rep``."""
-    if k in rep._triangles:
-        return rep._triangles[k]
-    q = rep.qp.quiver
-    fld = rep.field
-    ins = [a.id for a in q.arrows_into(k)]
-    outs = [a.id for a in q.arrows_out_of(k)]
-    in_dims = [rep.dims[q.tail(a)] for a in ins]
-    out_dims = [rep.dims[q.head(a)] for a in outs]
-    dk = rep.dims[k]
-    d_out = sum(out_dims)
-
-    alpha = hstack(fld, [rep.maps[a] for a in ins], rows=dk)
-    beta = vstack(fld, [rep.maps[b] for b in outs], cols=dk)
-    gamma_blocks = [
-        [
-            component_action(
-                rep, second_derivative(rep.qp.potential, b, a), q.tail(a), q.head(b)
-            )
-            for b in outs
-        ]
-        for a in ins
-    ]
-    gamma = vstack(fld, [hstack(fld, row, rows=in_dims[i]) for i, row in enumerate(gamma_blocks)], cols=d_out)
-
-    # the read-offs below are exact only because these compositions vanish
-    if not (alpha @ gamma).is_zero() or not (gamma @ beta).is_zero():
-        raise InvariantError("triangle identities fail; module is invalid at k")
-
-    # one elimination per map; kernels, images, ranks and pivots come from it
-    r_alpha, piv_alpha = alpha.rref()
-    _, piv_beta = beta.rref()
-    r_gamma, piv_gamma = gamma.rref()
-    ker_alpha, ret_alpha = kernel_from_rref(r_alpha, piv_alpha)
-    ker_gamma, rho = kernel_from_rref(r_gamma, piv_gamma)
-    im_beta = beta.take_cols(piv_beta)
-    im_gamma = gamma.take_cols(piv_gamma)
-
-    im_gamma_in_keralpha = ret_alpha @ im_gamma
-    _, pi1, s1 = subspace_package(rho @ im_beta)
-    _, pi2, sigma = subspace_package(im_gamma_in_keralpha)
-    _, coker_p, coker_sec = subspace_package(im_beta)
-
-    # dim (ker beta & im alpha) = rank alpha - rank(beta alpha)
-    dim_ker_beta = dk - len(piv_beta)
-    dim_new_decoration = dim_ker_beta - len(piv_alpha) + (beta @ alpha).rank()
-
-    rep._triangles[k] = TrianglePack(
-        k=k,
-        in_arrows=ins,
-        out_arrows=outs,
-        in_dims=in_dims,
-        out_dims=out_dims,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        ker_alpha=ker_alpha,
-        ker_gamma=ker_gamma,
-        rho=rho,
-        im_beta=im_beta,
-        im_gamma=im_gamma,
-        im_gamma_in_keralpha=im_gamma_in_keralpha,
-        gamma_in_keralpha=ret_alpha @ gamma,
-        gamma_in_imgamma=r_gamma.take_rows(list(range(len(piv_gamma)))),
-        coker_p=coker_p,
-        coker_sec=coker_sec,
-        pi1=pi1,
-        s1=s1,
-        pi2=pi2,
-        sigma=sigma,
-        s_section=Mat.identity(fld, d_out).take_cols(piv_gamma),
-        dim_new_decoration=dim_new_decoration,
-    )
+    """The triangle at k, with its composites, built once per module and k
+    and stored on ``rep``."""
+    if k not in rep._triangles:
+        rep._triangles[k] = TrianglePack(rep, k)
     return rep._triangles[k]
-
-
-def composite_maps(rep: DecRep, k: int) -> dict[str, Mat]:
-    """M_b @ M_a for each arrow a into k and b out of k, by composite name;
-    built once per module and k from its own maps and stored on ``rep``."""
-    q = rep.qp.quiver
-    if k not in rep._composites:
-        rep._composites[k] = {composite_name(b.id, a.id): rep.maps[b.id] @ rep.maps[a.id]
-                              for b in q.arrows_out_of(k) for a in q.arrows_into(k)}
-    return rep._composites[k]
 
 
 def simple_rep(qp: QP, j: int) -> DecRep:

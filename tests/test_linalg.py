@@ -157,9 +157,9 @@ def test_echelon_reduces_rows_inserted_in_any_order_to_the_rref(drawn, rnd):
         e.insert(r)
     # each stored row leads with a one at its pivot and is zero at the
     # pivots stored before it
-    for n, (p, r) in enumerate(e.piv.items()):
+    for n, (p, r) in enumerate(e._piv.items()):
         assert min(r) == p and r[p] == field.one
-        assert not set(r) & set(list(e.piv)[:n])
+        assert not set(r) & set(list(e._piv)[:n])
     assert e.reduced(m.rows, m.cols) == m.rref()
     assert len(e) == m.rank()
 
@@ -673,9 +673,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qpmut"
 
 
 def _storage_violations(path: Path) -> list[str]:
-    """Lines of ``path`` that touch Mat's private storage (outside linalg.py)
-    or assign into a ``.data`` attribute."""
-    private = {s for s in Mat.__slots__ if s.startswith("_")}
+    """Lines of ``path`` that touch the private storage of Mat or Echelon
+    (outside linalg.py) or assign into a ``.data`` attribute."""
+    private = {s for s in Mat.__slots__ + Echelon.__slots__ if s.startswith("_")}
     out = []
     tree = ast.parse(path.read_text())
     for node in ast.walk(tree):
@@ -699,8 +699,8 @@ def test_only_linalg_touches_matrix_storage():
 
 def test_storage_boundary_check_sees_violations(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("m.data[0][1] = x\nm.data = y\nz = m._nz\nm.data[2][0] += 1\n")
-    assert len(_storage_violations(bad)) == 4
+    bad.write_text("m.data[0][1] = x\nm.data = y\nz = m._nz\nm.data[2][0] += 1\nr = e._piv\n")
+    assert len(_storage_violations(bad)) == 5
 
 
 def test_integral_fractions_from_rref_and_products_emit_and_hash_like_ints():

@@ -1,8 +1,10 @@
 """Mutation of decorated representations: the four constructions, the
 composition identity, annihilation, pullbacks, and round trips."""
 
+import copy
 import dataclasses
 import hashlib
+import itertools
 import os
 import random
 
@@ -38,10 +40,12 @@ from qpmut import (
     simple_rep,
     zero_rep,
 )
-from qpmut.generate import base_change, random_valid_module
+from qpmut.fields import GF
+from qpmut.generate import base_change, random_qp, random_valid_module
 from qpmut.homs import YES
 from qpmut.linalg import block_diag
 from qpmut.mutation import involution_pullback, transport_iso
+from qpmut.qp import composite_name
 
 
 def a2_p1():
@@ -261,6 +265,52 @@ def test_injected_triangle_is_never_stored(markov):
     assert build_triangle(m, MARKOV_K) is not t
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "Fp5"])
+def test_triangle_holds_the_composites_every_construction_shares(field):
+    rng = random.Random(263)
+    # the Markov QP has parallel hooks through every vertex; random QPs vary them
+    qps = [markov_qp(field=field)] * 4
+    qps += [random_qp(rng, max_vertices=4, max_arrows=6, max_terms=4, max_len=4, field=field)
+            for _ in range(6)]
+    checked = hooks = 0
+    for qp, _ in itertools.product(qps, range(2)):
+        try:
+            m = random_valid_module(qp, rng, max_dim=4)
+        except RuntimeError:
+            continue
+        q = qp.quiver
+        for k in q.vertices:
+            if q.has_two_cycle_at(k):
+                continue
+            t = build_triangle(m, k)
+            pairs = [(b.id, a.id) for b in q.arrows_out_of(k) for a in q.arrows_into(k)]
+            assert list(t.composites) == [composite_name(b, a) for b, a in pairs]
+            for b, a in pairs:
+                assert t.composites[composite_name(b, a)] == m.maps[b] @ m.maps[a]
+            for kind in CONSTRUCTIONS:
+                pm = premutate_rep(m, k, kind)
+                for name, ba in t.composites.items():
+                    assert pm.rep.maps[name] is ba, (kind, name)
+            checked += 1
+            hooks += len(pairs)
+    assert checked >= 30 and hooks >= 80
+
+
+def test_injected_triangle_supplies_its_composites(markov):
+    rng = random.Random(271)
+    m = random_valid_module(markov, rng, max_dim=3)
+    while not (m.dims[1] and m.dims[2]):  # the composites through 3 map M_1 -> M_2
+        m = random_valid_module(markov, rng, max_dim=3)
+    ones = Mat(QQ, [[QQ.one] * m.dims[1] for _ in range(m.dims[2])])
+    t = copy.copy(build_triangle(m, MARKOV_K))
+    t.composites = {name: ba + ones for name, ba in t.composites.items()}
+    own = premutate_rep(m, MARKOV_K).rep.maps
+    for kind in CONSTRUCTIONS:
+        pm = premutate_rep(m, MARKOV_K, kind, require_valid=False, triangle=t)
+        for name, ba in t.composites.items():
+            assert pm.rep.maps[name] is ba and ba != own[name]
+
+
 def test_annihilation_by_premuted_derivatives(markov):
     rng = random.Random(109)
     for _ in range(3):
@@ -340,7 +390,9 @@ def _scramble_choices(t, seed):
     new_sigma = t.sigma + t.im_gamma_in_keralpha @ w
     # s_section - K (new_rho s_section) is the section with new_rho @ s = 0
     new_s = t.s_section - t.ker_gamma @ (new_rho @ t.s_section)
-    return dataclasses.replace(t, rho=new_rho, sigma=new_sigma, s_section=new_s)
+    out = copy.copy(t)
+    out.rho, out.sigma, out.s_section = new_rho, new_sigma, new_s
+    return out
 
 
 def test_scrambled_choices_give_isomorphic_premutation(markov):

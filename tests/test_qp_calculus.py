@@ -168,6 +168,19 @@ def test_premutate_qp_is_built_once_per_qp_and_vertex():
     assert premutate_qp(qp, MARKOV_K) is qpt
 
 
+def test_qp_equality_and_hash_follow_quiver_and_potential():
+    qp = markov_qp()
+    twin = docio.loads(docio.dumps(docio.emit_qp(qp)))
+    assert twin == qp and not twin != qp and hash(twin) == hash(qp)
+    assert {qp: "markov"}[twin] == "markov"
+    # another potential, quiver or field makes another QP
+    other_pot = QP(qp.quiver, cyclic_normalize(qp.space.path(("c1", "b1", "a1"))))
+    for other in (other_pot, premutate_qp(qp, 1), markov_qp(field=GF(5))):
+        assert other != qp and qp != other and not other == qp
+    assert len({qp, twin, other_pot}) == 2
+    assert qp != qp.quiver and qp != qp.potential and qp != "markov"
+
+
 def test_premutate_zero_potential_at_sink():
     qp = a2_qp()
     qpt = premutate_qp(qp, 2)
