@@ -67,7 +67,6 @@ from .quiver import (
     compose_paths,
     lazy_path,
     path_from_arrows,
-    same_up_to_vertex_fixing_iso,
 )
 from .reps import (
     DecRep,
@@ -76,7 +75,6 @@ from .reps import (
     check_module,
     component_action,
     negative_simple_rep,
-    path_action,
     simple_rep,
     zero_rep,
 )

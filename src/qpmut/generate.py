@@ -181,8 +181,8 @@ def _quotient(qp: QP, dims: dict[int, int], maps: dict[str, Mat], gens: dict[int
             done[a.id] = len(src)
     packs = {v: subspace_package(spans[v].span(dims[v]).T)
              for v in q.vertices}
-    quotient_maps = {a.id: packs[a.head][1] @ (maps[a.id] @ packs[a.tail][2]) for a in q.arrows}
-    return DecRep(qp, {v: packs[v][1].rows for v in q.vertices}, quotient_maps, dict(dec))
+    quotient_maps = {a.id: packs[a.head][0] @ (maps[a.id] @ packs[a.tail][1]) for a in q.arrows}
+    return DecRep(qp, {v: packs[v][0].rows for v in q.vertices}, quotient_maps, dict(dec))
 
 
 def random_quotient(rep: DecRep, rng: random.Random) -> DecRep:
@@ -222,19 +222,3 @@ def random_valid_module(
         m, _ = base_change(m, rng)
         return DecRep(m.qp, m.dims, m.maps, {v: rng.randint(0, 2) for v in qp.quiver.vertices})
     raise RuntimeError("failed to generate a module")
-
-
-def random_rep_zero_potential(qp: QP, rng: random.Random, max_dim: int = 3) -> DecRep:
-    """Arbitrary matrices are valid when the potential is zero and the quiver
-    acyclic."""
-    if not qp.potential.is_zero():
-        raise ValueError("needs zero potential")
-    fld = qp.field
-    dims = {v: rng.randint(0, max_dim) for v in qp.quiver.vertices}
-    maps = {
-        a.id: Mat.from_rows(fld, [{j: fld.of(rng.randint(-2, 2)) for j in range(dims[a.tail])}
-                                  for _ in range(dims[a.head])], dims[a.tail])
-        for a in qp.quiver.arrows
-    }
-    dec = {v: rng.randint(0, 2) for v in qp.quiver.vertices}
-    return DecRep(qp, dims, maps, dec)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ContextError
-from .linalg import Mat
+from .linalg import Mat, kernel_from_rref
 from .reps import DecRep, is_intertwiner, is_isomorphism
 
 YES = "YES"
@@ -73,19 +73,14 @@ def _solve(m: DecRep, n: DecRep) -> HomSpace:
                 block[p * mt + q][offsets[t] + s * mt + q] = -x
         rows.extend(block)
 
-    # unknown o_v + p * dim m_v + q is entry (p, q) of g_v.  Free unknown j
-    # gives the kernel element with 1 at j and -R[i][j] at pivot i of the RREF
-    R, pivots = Mat.from_rows(fld, rows, total).rref()
-    free = {j: c for c, j in enumerate(sorted(set(range(total)).difference(pivots)))}
+    # unknown o_v + p * dim m_v + q is entry (p, q) of g_v; each basis column
+    # of the kernel is split into its vertex blocks
+    basis, _ = kernel_from_rref(*Mat.from_rows(fld, rows, total).rref())
     cell = [(v, *divmod(i, m.dims[v])) for v in verts for i in range(n.dims[v] * m.dims[v])]
-    blocks = [{v: [{} for _ in range(n.dims[v])] for v in verts} for _ in free]
-    for j, c in free.items():
-        v, p, q = cell[j]
-        blocks[c][v][p][q] = fld.one
-    for i, j, x in R.nonzeros():
-        if j in free:
-            v, p, q = cell[pivots[i]]
-            blocks[free[j]][v][p][q] = -x
+    blocks = [{v: [{} for _ in range(n.dims[v])] for v in verts} for _ in range(basis.cols)]
+    for i, c, x in basis.nonzeros():
+        v, p, q = cell[i]
+        blocks[c][v][p][q] = x
     return HomSpace([{v: Mat.from_rows(fld, b[v], m.dims[v]) for v in verts} for b in blocks])
 
 

@@ -20,7 +20,8 @@ produced here is deterministic whatever the elimination order.  A kernel
 basis comes with its retraction: the basis is the identity at the free
 columns, so the identity's rows at those columns give the coordinates of any
 kernel vector.  The complement of a subspace is spanned by the standard
-basis vectors at the pivot columns of [basis | I] past the basis itself.
+basis vectors at the coordinates where none of its vectors has its last
+nonzero entry, read off one echelon of any spanning set of it.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class Mat:
     def identity(field: Field, n: int) -> "Mat":
         one = field.one
         return Mat._of(field, {i: {i: one} for i in range(n)}, n, n)
-
-    @staticmethod
-    def from_int_rows(field: Field, rows: list[list[int]]) -> "Mat":
-        return Mat(field, [[field.of(x) for x in r] for r in rows])
 
     # -- reads --------------------------------------------------------
     def entry(self, i: int, j: int):
@@ -203,11 +200,6 @@ class Mat:
     def kernel_basis(self) -> "Mat":
         """Columns form a basis of the null space (deterministic)."""
         return kernel_from_rref(*self.rref())[0]
-
-    def image_basis(self) -> "Mat":
-        """Columns: the pivot columns of the original matrix."""
-        _, pivots = self.rref()
-        return self.take_cols(pivots)
 
     def solve(self, b: "Mat") -> "Mat" | None:
         """X with self @ X = b, or None if inconsistent (any solution)."""
@@ -426,30 +418,31 @@ def block_diag(field: Field, mats: list[Mat]) -> Mat:
 
 
 # -- subspaces ---------------------------------------------------------
-def subspace_package(basis: Mat):
-    """For a subspace U <= k^n given by an independent-column basis, return
+def subspace_package(span: Mat) -> tuple[Mat, Mat]:
+    """For the subspace U <= k^n spanned by the columns of ``span``, any
+    spanning set (dependent and zero columns allowed), return
 
-    (retraction, proj, section):
-      retraction : U-coords of the U-component, retraction @ basis = I
-      proj       : coordinates on the quotient k^n / U
-      section    : coset representatives, proj @ section = I, proj @ basis = 0
+    (proj, section):
+      proj    : coordinates on the quotient k^n / U, proj @ span = 0
+      section : coset representatives, proj @ section = I
 
-    Everything is read off one RREF of [basis | I]: the complement is spanned
-    by the standard basis vectors at its pivot columns past the first r, and
-    the right-hand block is [basis | section]^-1, whose first r rows are the
-    retraction and whose remaining rows are proj.
+    The columns, with coordinate i taken as n - 1 - i, are row reduced: the
+    pivots Q are the coordinates where some vector of U has its last nonzero
+    entry, and the row at q in Q is the w_q in U that is one at q and zero at
+    the rest of Q.  So section is e_c for each c not in Q, the complement
+    greedy by index, and proj's row c is e_c - sum_q w_q[c] e_q.
     """
-    field = basis.field
-    n = basis.rows
-    r = basis.cols
-    R, pivots = hstack(field, [basis, Mat.identity(field, n)], rows=n).rref()
-    if pivots[:r] != list(range(r)):
-        raise ShapeError("basis columns are dependent")
-    section = Mat.identity(field, n).take_cols([p - r for p in pivots[r:]])
-    inv = R.take_cols(list(range(r, r + n)))
-    retraction = inv.take_rows(list(range(r)))
-    proj = inv.take_rows(list(range(r, n)))
-    return retraction, proj, section
+    field, last = span.field, span.rows - 1
+    W, pivots = span.take_rows(list(range(last, -1, -1))).T.rref()
+    in_u = {last - p for p in pivots}
+    free = {c: j for j, c in enumerate(c for c in range(span.rows) if c not in in_u)}
+    proj = {j: {c: field.one} for c, j in free.items()}
+    for p, w in zip(pivots, W._nz.values()):
+        for k, x in w.items():
+            if k != p:
+                proj[free[last - k]][last - p] = -x
+    section = {c: {j: field.one} for c, j in free.items()}
+    return Mat._of(field, proj, len(free), span.rows), Mat._of(field, section, span.rows, len(free))
 
 
 def coords_in(basis: Mat, vectors: Mat) -> Mat:

@@ -114,12 +114,11 @@ def _construction_blocks(t: TrianglePack, fld, kind: str):
         beta_bar = hstack(fld, [t.gamma @ t.coker_sec, t.ker_alpha @ t.sigma], rows=d_in)
         alpha_bar = vstack(fld, [-t.coker_p, Mat.zero(fld, q2, d_out)], cols=d_out)
     else:  # "pushout"
-        # independent columns, as im_gamma_in_keralpha's are (else ShapeError)
         rel = vstack(fld, [
             t.coker_p @ t.s_section,
             -t.im_gamma_in_keralpha,
         ], cols=rg)
-        _, qproj, qsec = subspace_package(rel)
+        qproj, qsec = subspace_package(rel)
         qc = qproj.take_cols(list(range(c)))
         jmap = qproj.take_cols(list(range(c, c + ka)))
         f = lambda: hstack(fld, [

@@ -114,11 +114,6 @@ class Quiver:
         return {key: len(ids) for key, ids in self.parallel_classes.items()}
 
 
-def same_up_to_vertex_fixing_iso(q1: Quiver, q2: Quiver) -> bool:
-    """True iff a vertex-fixing quiver isomorphism q1 -> q2 exists."""
-    return set(q1.vertices) == set(q2.vertices) and q1.arrow_counts() == q2.arrow_counts()
-
-
 class Path:
     """A path in a quiver; ``arrows == ()`` is the lazy path at ``tail == head``."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycles import second_derivative
-from .errors import ContextError, InvariantError, Report, ShapeError, TruncationTooSmall
+from .errors import InvariantError, Report, ShapeError
 from .jets import JetPoly
 from .linalg import (
     Echelon,
@@ -41,6 +41,13 @@ class DecRep:
         self.dims = dict(self.dims)
         self.dec_dims = dict(self.dec_dims)
         self.maps = dict(self.maps)
+        verts = set(q.vertices)
+        for v in (*self.dims, *self.dec_dims):
+            if v not in verts:
+                raise InvariantError(f"dimension given for {v!r}, which is not a vertex")
+        for aid in self.maps:
+            if not q.has_arrow(aid):
+                raise InvariantError(f"map given for {aid!r}, which is not an arrow")
         for v in q.vertices:
             self.dims.setdefault(v, 0)
             self.dec_dims.setdefault(v, 0)
@@ -139,25 +146,6 @@ def component_action(rep: DecRep, u: JetPoly, head: int, tail: int) -> Mat:
     return out
 
 
-def path_action(rep: DecRep, u: JetPoly) -> Mat:
-    """Block map on the total space (vertex blocks in vertex order)."""
-    if u.space.quiver != rep.qp.quiver:
-        raise ContextError("jet over a different quiver")
-    idx = rep.nilpotency_index()
-    if u.space.order < idx:
-        raise TruncationTooSmall(
-            f"jet order {u.space.order} < nilpotency index {idx}"
-        )
-    fld = rep.field
-    verts = list(rep.qp.quiver.vertices)
-    blocks = [
-        [component_action(rep, u, h, t) for t in verts]
-        for h in verts
-    ]
-    return vstack(fld, [hstack(fld, row, rows=rep.dims[h]) for h, row in zip(verts, blocks)],
-                  cols=sum(rep.dims[t] for t in verts))
-
-
 def derivative_actions(rep: DecRep) -> dict[str, Mat]:
     """The action of the cyclic derivative along each arrow x, summed straight
     from the potential's terms: for each term c.w and each occurrence of x in
@@ -217,11 +205,12 @@ class TrianglePack:
     gamma: M_out -> M_in, with M_in and M_out the spaces at the tails of the
     arrows into k and the heads of the arrows out of k, in arrow order.
     Bases are column matrices in ambient coordinates; retraction/projection
-    maps are written in the displayed coordinate systems.  Three
-    eliminations (of alpha, beta and gamma), three quotient packages and one
-    rank make the whole pack.  Last come the composites M_b @ M_a for each
-    arrow a into k and b out of k, the premutated module's maps [ba], made
-    once here and shared by every premutation of the module at k.
+    maps are written in the displayed coordinate systems.  Two eliminations
+    (of alpha and gamma), three quotient packages (of the column spans of
+    beta, rho @ beta and gamma_in_keralpha) and one rank make the whole pack.
+    Last come the composites M_b @ M_a for each arrow a into k and b out of
+    k, the premutated module's maps [ba], made once here and shared by every
+    premutation of the module at k.
     """
 
     def __init__(self, rep: DecRep, k: int):
@@ -250,39 +239,36 @@ class TrianglePack:
         if not (alpha @ gamma).is_zero() or not (gamma @ beta).is_zero():
             raise InvariantError("triangle identities fail; module is invalid at k")
 
-        # one elimination per map; kernels, images, ranks and pivots come from it
+        # one elimination each of alpha and gamma; kernels, images and pivots come from it
         r_alpha, piv_alpha = alpha.rref()
-        _, piv_beta = beta.rref()
         r_gamma, piv_gamma = gamma.rref()
         # kernel bases from the RREFs; rho: M_out -> ker gamma coords is
         # gamma's kernel retraction (rho @ ker_gamma = I, zero at gamma's
         # pivot columns)
         self.ker_alpha, ret_alpha = kernel_from_rref(r_alpha, piv_alpha)
         self.ker_gamma, self.rho = kernel_from_rref(r_gamma, piv_gamma)
-        # the pivot columns of beta and gamma
-        self.im_beta = im_beta = beta.take_cols(piv_beta)
+        # the pivot columns of gamma
         self.im_gamma = gamma.take_cols(piv_gamma)
         self.dim_imgamma = len(piv_gamma)
         self.dim_keralpha = self.ker_alpha.cols
 
-        # alpha's kernel retraction applied to im_gamma (exact, since alpha gamma = 0)
-        self.im_gamma_in_keralpha = ret_alpha @ self.im_gamma
-        # quotient package of rho @ im_beta inside ker gamma (exact, since
+        # alpha's kernel retraction applied to gamma and im_gamma (exact, since alpha gamma = 0)
+        self.gamma_in_keralpha = ret_alpha @ gamma
+        self.im_gamma_in_keralpha = self.gamma_in_keralpha.take_cols(piv_gamma)
+        # quotient package of rho @ beta inside ker gamma (exact, since
         # gamma beta = 0): (ker gamma / im beta) coords
-        _, self.pi1, self.s1 = subspace_package(self.rho @ im_beta)
+        self.pi1, self.s1 = subspace_package(self.rho @ beta)
         self.dim_kergamma_mod_imbeta = self.pi1.rows
-        # quotient package of im_gamma_in_keralpha: (ker alpha / im gamma) coords
-        _, self.pi2, self.sigma = subspace_package(self.im_gamma_in_keralpha)
+        # quotient package of gamma_in_keralpha: (ker alpha / im gamma) coords
+        self.pi2, self.sigma = subspace_package(self.gamma_in_keralpha)
         self.dim_keralpha_mod_imgamma = self.pi2.rows
-        # quotient package of im_beta in M_out
-        _, self.coker_p, self.coker_sec = subspace_package(im_beta)
+        # quotient package of im beta in M_out
+        self.coker_p, self.coker_sec = subspace_package(beta)
         self.dim_cokerbeta = self.coker_p.rows
 
-        # dim ker beta / (ker beta & im alpha), where
-        # dim (ker beta & im alpha) = rank alpha - rank(beta alpha)
-        self.dim_new_decoration = dk - len(piv_beta) - len(piv_alpha) + (beta @ alpha).rank()
-        # alpha's kernel retraction applied to gamma (exact, since alpha gamma = 0)
-        self.gamma_in_keralpha = ret_alpha @ gamma
+        # dim ker beta / (ker beta & im alpha), where rank beta = d_out - dim coker beta
+        # and dim (ker beta & im alpha) = rank alpha - rank(beta alpha)
+        self.dim_new_decoration = dk - (d_out - self.dim_cokerbeta) - len(piv_alpha) + (beta @ alpha).rank()
         # the nonzero rows of gamma's RREF
         self.gamma_in_imgamma = r_gamma.take_rows(list(range(len(piv_gamma))))
         # im gamma coords -> M_out, the standard basis vectors at gamma's

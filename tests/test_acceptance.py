@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import markov_qp, MARKOV_K
+from conftest import from_int_rows, markov_qp, path_action, random_rep_zero_potential, MARKOV_K
 from qpmut import (
     CONSTRUCTIONS,
     DecRep,
@@ -29,7 +29,6 @@ from qpmut import (
     mutate_qp,
     mutate_rep,
     negative_simple_rep,
-    path_action,
     premutate_rep,
     pullback_reduction,
     split_reduce,
@@ -41,7 +40,6 @@ from qpmut.cli import main
 from qpmut.generate import (
     base_change,
     random_qp,
-    random_rep_zero_potential,
     random_valid_module,
 )
 from qpmut.jets import JetSpace
@@ -210,8 +208,8 @@ def test_no_scalar_is_a_float():
 
     rng = random.Random(11)
     for n in range(1, 7):
-        a = Mat.from_int_rows(QQ, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        b = Mat.from_int_rows(QQ, [[rng.randint(-3, 3)] for _ in range(n)])
+        a = from_int_rows(QQ, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        b = from_int_rows(QQ, [[rng.randint(-3, 3)] for _ in range(n)])
         outs = [a.rref()[0]]
         if a.is_invertible():
             outs += [a.solve(b), a.inverse()]

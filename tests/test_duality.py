@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import a2_qp, a3_line_qp, markov_qp, MARKOV_K
+from conftest import a2_qp, a3_line_qp, from_int_rows, markov_qp, MARKOV_K
 from qpmut import (
     DecRep,
     Mat,
@@ -71,8 +71,8 @@ def test_duality_witness_gamma_zero_blocks():
         qp,
         {1: 2, 2: 1, 3: 1},
         {
-            "a": Mat.from_int_rows(QQ, [[1, 0]]),
-            "b": Mat.from_int_rows(QQ, [[1]]),
+            "a": from_int_rows(QQ, [[1, 0]]),
+            "b": from_int_rows(QQ, [[1]]),
         },
         {1: 0, 2: 1, 3: 0},
     )

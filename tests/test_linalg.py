@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import count_eliminations, markov_qp, reference_intersection
+from conftest import count_eliminations, from_int_rows, image_basis, markov_qp, reference_intersection
 from qpmut import QQ, ShapeError, build_triangle
 from qpmut.fields import PrimeField
 from qpmut.generate import random_valid_module
@@ -173,7 +173,7 @@ def test_rref_over_fp_matches_reference():
         density = rng.choice([0.1, 0.5, 1.0])
         ints = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
                 for _ in range(rows)]
-        m = Mat.from_int_rows(field, ints) if rows else Mat.zero(field, 0, cols)
+        m = from_int_rows(field, ints) if rows else Mat.zero(field, 0, cols)
         R, pivots = m.rref()
         assert (R.rows, R.cols) == (rows, cols)
         assert ([[x.v for x in r] for r in R.data], pivots) == _gauss_jordan_mod(ints, cols, p)
@@ -216,7 +216,7 @@ def test_rref_survives_fill_in_and_cancellation(field):
     ranks = set()
     for rows, cols in shapes:
         ints = _combined_rows(rng, rows, cols)
-        m = Mat.from_int_rows(field, ints) if rows else Mat.zero(field, 0, cols)
+        m = from_int_rows(field, ints) if rows else Mat.zero(field, 0, cols)
         R, pivots = m.rref()
         assert (R.rows, R.cols) == (rows, cols)
         if field == QQ:
@@ -232,15 +232,15 @@ def test_rref_survives_fill_in_and_cancellation(field):
 def test_scale_add_is_zero_keep_shapes_and_values_with_zero_entries(field):
     rows = [[0, 3, 0], [0, 0, 0], [5, 0, -1]]
     other = [[2, 0, 0], [0, 0, 0], [-5, 0, 4]]
-    a, b = Mat.from_int_rows(field, rows), Mat.from_int_rows(field, other)
-    assert a.scale(field.of(3)) == Mat.from_int_rows(field, [[3 * x for x in r] for r in rows])
-    assert a + b == Mat.from_int_rows(
+    a, b = from_int_rows(field, rows), from_int_rows(field, other)
+    assert a.scale(field.of(3)) == from_int_rows(field, [[3 * x for x in r] for r in rows])
+    assert a + b == from_int_rows(
         field, [[x + y for x, y in zip(r, s)] for r, s in zip(rows, other)]
     )
     assert b + a == a + b
     assert not a.is_zero() and not b.is_zero()
     assert a.scale(field.zero).is_zero() and (a - a).is_zero()
-    assert Mat.from_int_rows(field, [[0, 0], [0, 0]]).is_zero()
+    assert from_int_rows(field, [[0, 0], [0, 0]]).is_zero()
     for r, c in [(0, 3), (3, 0), (2, 3)]:
         z = Mat.zero(field, r, c)
         for m in (z.scale(field.of(2)), z + z, z):
@@ -254,7 +254,7 @@ def test_kernel_of_identity_is_zero():
 
 def test_cokernel_of_zero_map():
     z = Mat.zero(QQ, 3, 2)
-    _, proj, sec = subspace_package(z.image_basis())
+    proj, sec = subspace_package(image_basis(z))
     assert proj.rows == 3
     assert (proj @ sec) == Mat.identity(QQ, 3)
 
@@ -277,7 +277,7 @@ def test_kernel_from_rref_basis_and_retraction(field):
     shapes = [(0, 0), (0, 4), (4, 0)] + [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]
     for rows, cols in shapes:
         ints = _ints(rng, rows, cols, density=rng.choice([0.2, 0.6, 1.0]))
-        m = Mat.from_int_rows(field, ints) if rows and cols else Mat.zero(field, rows, cols)
+        m = from_int_rows(field, ints) if rows and cols else Mat.zero(field, rows, cols)
         R, pivots = m.rref()
         basis, retraction = kernel_from_rref(R, pivots)
         assert (basis.rows, basis.cols) == (cols, cols - len(pivots))
@@ -308,7 +308,7 @@ def test_is_invertible_is_square_and_full_rank(field, monkeypatch):
             for i in range(n)
         ], n))
     rng = random.Random(23)
-    mats += [Mat.identity(field, 4), Mat.from_int_rows(field, [[1, 1], [0, 1]])]
+    mats += [Mat.identity(field, 4), from_int_rows(field, [[1, 1], [0, 1]])]
     for _ in range(150):
         n = rng.randint(1, 6)
         # one nonzero per row: a scaled permutation matrix, then columns drawn
@@ -339,7 +339,7 @@ def test_is_invertible_is_square_and_full_rank(field, monkeypatch):
 
 
 def test_take_and_entry_reject_indices_out_of_range():
-    m = Mat.from_int_rows(QQ, [[1, 2], [3, 4], [5, 6]])
+    m = from_int_rows(QQ, [[1, 2], [3, 4], [5, 6]])
     for idx in ([-1], [3], [7], [0, -3]):
         with pytest.raises(ShapeError):
             m.take_rows(idx)
@@ -348,7 +348,7 @@ def test_take_and_entry_reject_indices_out_of_range():
     for i, j in ((-1, 0), (0, -1), (3, 0), (0, 2), (0, 9)):
         with pytest.raises(ShapeError):
             m.entry(i, j)
-    assert m.take_rows([2, 0, 2]) == Mat.from_int_rows(QQ, [[5, 6], [1, 2], [5, 6]])
+    assert m.take_rows([2, 0, 2]) == from_int_rows(QQ, [[5, 6], [1, 2], [5, 6]])
     assert (m.entry(2, 1), m.entry(0, 0)) == (6, 1)
 
 
@@ -369,11 +369,9 @@ def test_subspace_package_properties():
     for _ in range(30):
         n = rng.randint(0, 6)
         m = _rand(rng, n, rng.randint(0, 6))
-        basis = m.image_basis()
-        retraction, proj, sec = subspace_package(basis)
+        basis = image_basis(m)
+        proj, sec = subspace_package(basis)
         r = basis.cols
-        if r:
-            assert retraction @ basis == Mat.identity(QQ, r)
         assert proj.rows == n - r
         if n - r:
             assert proj @ sec == Mat.identity(QQ, n - r)
@@ -398,20 +396,64 @@ def _greedy_complement(basis: Mat) -> list[int]:
     return chosen
 
 
-def test_subspace_package_rejects_dependent_columns():
-    b = Mat.from_int_rows(QQ, [[1, 2, 0], [0, 0, 1], [1, 2, 1]])
-    with pytest.raises(ShapeError):
-        subspace_package(b)
-    with pytest.raises(ShapeError):
-        subspace_package(Mat.zero(QQ, 3, 1))
+def test_subspace_package_of_a_spanning_set_is_that_of_a_basis_of_its_span():
+    b = from_int_rows(QQ, [[1, 2, 0], [0, 0, 1], [1, 2, 1]])
+    assert subspace_package(b) == subspace_package(image_basis(b))
+    assert subspace_package(Mat.zero(QQ, 3, 1)) == subspace_package(Mat.zero(QQ, 3, 0)) \
+        == (Mat.identity(QQ, 3), Mat.identity(QQ, 3))
+
+
+def _dense_package(field, columns: list[list], n: int) -> tuple[Mat, Mat]:
+    """Reference (proj, section) of the span of ``columns`` in k^n: B is the
+    columns that raise the rank, in order, and the RREF of [B | I] by dense
+    Gauss-Jordan ends in [B | section]^-1, whose rows past the first
+    rank-many are proj; section is e_c at its pivots c past B."""
+    basis: list[list] = []
+    for c in columns:
+        if len(_gauss_jordan(field, basis + [c], n)[1]) > len(basis):
+            basis.append(c)
+    r = len(basis)
+    aug = [[b[i] for b in basis] + [field.of(int(i == j)) for j in range(n)] for i in range(n)]
+    R, pivots = _gauss_jordan(field, aug, r + n)
+    assert pivots[:r] == list(range(r))
+    complement = [p - r for p in pivots[r:]]
+    proj = _mat(field, [row[r:] for row in R[r:]], n)
+    section = Mat.from_rows(field, [{k: field.one for k, c in enumerate(complement) if c == i}
+                                    for i in range(n)], len(complement))
+    return proj, section
+
+
+@st.composite
+def _spans(draw):
+    """(field, columns, n): a spanning set of a subspace of k^n, with zero,
+    repeated and dependent columns; n or the number of columns may be 0."""
+    field, columns, n = draw(_sparse_matrices())
+    for _ in range(draw(st.integers(0, 2)) if columns else 0):
+        u, v = (columns[draw(st.integers(0, len(columns) - 1))] for _ in range(2))
+        c = field.of(draw(st.integers(1, 3)))
+        columns.insert(draw(st.integers(0, len(columns))), [x + c * y for x, y in zip(u, v)])
+    return field, columns, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spans())
+@example((QQ, [[], [], []], 0))
+@example((PrimeField(7), [], 4))
+def test_subspace_package_of_any_spanning_set_matches_the_dense_reference(drawn):
+    field, columns, n = drawn
+    span = _mat(field, columns, n).T
+    proj, section = subspace_package(span)
+    assert (proj, section) == _dense_package(field, columns, n)
+    assert (proj @ span).is_zero()
+    assert proj @ section == Mat.identity(field, proj.rows)
 
 
 def test_intersection_against_rank_formula():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 6)
-        u = _rand(rng, n, rng.randint(0, 4)).image_basis()
-        v = _rand(rng, n, rng.randint(0, 4)).image_basis()
+        u = image_basis(_rand(rng, n, rng.randint(0, 4)))
+        v = image_basis(_rand(rng, n, rng.randint(0, 4)))
         cap = reference_intersection(u, v)
         # independent oracle: dim(U & V) = rank U + rank V - rank [U V]
         expected = u.cols + v.cols - hstack(QQ, [u, v], rows=n).rank()
@@ -427,7 +469,7 @@ def test_intersection_against_rank_formula():
         for k in qp.quiver.vertices:
             t = build_triangle(m, k)
             ker_beta = t.beta.kernel_basis()
-            cap = reference_intersection(ker_beta, t.alpha.image_basis())
+            cap = reference_intersection(ker_beta, image_basis(t.alpha))
             if cap.cols:
                 assert ker_beta.solve(cap) is not None
                 assert t.alpha.solve(cap) is not None
@@ -435,8 +477,8 @@ def test_intersection_against_rank_formula():
 
 
 def test_coords_in_raises_outside_span():
-    u = Mat.from_int_rows(QQ, [[1], [0]])
-    v = Mat.from_int_rows(QQ, [[0], [1]])
+    u = from_int_rows(QQ, [[1], [0]])
+    v = from_int_rows(QQ, [[0], [1]])
     with pytest.raises(ShapeError):
         coords_in(u, v)
 
@@ -486,7 +528,7 @@ def test_every_operation_stores_only_nonzeros_and_matches_dense(field):
     for _ in range(40):
         r, k, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
         ai, bi, ci = _ints(rng, r, k), _ints(rng, r, k), _ints(rng, k, c)
-        a, b, cm = (Mat.from_int_rows(field, x) for x in (ai, bi, ci))
+        a, b, cm = (from_int_rows(field, x) for x in (ai, bi, ci))
         ad, bd, cd = (_dense(field, x) for x in (ai, bi, ci))
         _check(a, ad, (r, k))
         _check(a + b, [[x + y for x, y in zip(u, v)] for u, v in zip(ad, bd)], (r, k))
@@ -523,7 +565,7 @@ def test_every_operation_stores_only_nonzeros_and_matches_dense(field):
 @pytest.mark.parametrize("n", [0, 3])
 def test_empty_shapes_survive_every_operation(field, n):
     rng = random.Random(n)
-    full = Mat.from_int_rows(field, _ints(rng, 3, 3, density=0.7)) if n else Mat.zero(field, 0, 0)
+    full = from_int_rows(field, _ints(rng, 3, 3, density=0.7)) if n else Mat.zero(field, 0, 0)
     for a in (Mat.zero(field, 0, n), Mat.zero(field, n, 0)):
         r, c = a.rows, a.cols
         assert a.data == tuple(() for _ in range(r))
@@ -624,11 +666,11 @@ def test_row_table_matches_dense_reference_with_empty_rows_and_columns(field):
         bi2 = _mostly_empty(rng, r, 1)
         consistent = _ref_rank(field, [u + [field.of(v[0])] for u, v in zip(ad, bi2)]) == rank
         assert (a.solve(_of_ints(field, bi2, 1)) is not None) == consistent
-        im = a.image_basis()
-        retr, proj, sec = subspace_package(im)
-        for m in (im, retr, proj, sec):
+        im = image_basis(a)
+        proj, sec = subspace_package(im)
+        for m in (im, proj, sec):
             _check(m, [list(u) for u in m.data], (m.rows, m.cols))
-        assert retr @ im == Mat.identity(field, rank) and (proj @ im).is_zero()
+        assert (proj @ im).is_zero()
         assert proj @ sec == Mat.identity(field, r - rank)
 
 
@@ -650,14 +692,14 @@ def test_zero_matrix_costs_nothing_whatever_its_shape():
 
 
 def test_dense_view_is_read_only():
-    m = Mat.from_int_rows(QQ, [[1, 0], [0, 2]])
+    m = from_int_rows(QQ, [[1, 0], [0, 2]])
     with pytest.raises(TypeError):
         m.data[0][0] = 5
     with pytest.raises(TypeError):
         m.data[1] = (0, 0)
     with pytest.raises(AttributeError):
         m.data = ((0, 0), (0, 0))
-    assert m == Mat.from_int_rows(QQ, [[1, 0], [0, 2]])
+    assert m == from_int_rows(QQ, [[1, 0], [0, 2]])
 
 
 def test_from_rows_drops_zeros_and_checks_columns():
@@ -712,8 +754,8 @@ def test_integral_fractions_from_rref_and_products_emit_and_hash_like_ints():
     def integral_fractions(m):
         return [x for _, _, x in m.nonzeros() if type(x) is Fraction and x.denominator == 1]
 
-    R, _ = Mat.from_int_rows(QQ, [[2, 0, -2], [1, 1, 1]]).rref()
-    prod = Mat(QQ, [[Fraction(1, 2), Fraction(3, 2)]]) @ Mat.from_int_rows(QQ, [[4], [2]])
+    R, _ = from_int_rows(QQ, [[2, 0, -2], [1, 1, 1]]).rref()
+    prod = Mat(QQ, [[Fraction(1, 2), Fraction(3, 2)]]) @ from_int_rows(QQ, [[4], [2]])
     made = integral_fractions(R) + integral_fractions(prod)
     assert made == [-1, 2, 5] and integral_fractions(prod)
 

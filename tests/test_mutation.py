@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import a2_qp, count_eliminations, markov_qp, reference_intersection, MARKOV_K
+from conftest import a2_qp, count_eliminations, image_basis, markov_qp, path_action, reference_intersection, MARKOV_K
 from qpmut import docio, reps
 from qpmut import (
     CONSTRUCTIONS,
@@ -34,7 +34,6 @@ from qpmut import (
     mutate_qp,
     mutate_rep,
     negative_simple_rep,
-    path_action,
     premutate_rep,
     pullback_reduction,
     simple_rep,
@@ -82,14 +81,14 @@ def test_dimension_bookkeeping_all_constructions(markov):
             pm = premutate_rep(m, MARKOV_K, kind)
             t = pm.triangle
             expected_mk = (
-                (t.ker_gamma.cols - t.im_beta.cols)
+                (t.ker_gamma.cols - t.beta.rank())
                 + t.im_gamma.cols
                 + (t.ker_alpha.cols - t.im_gamma.cols)
                 + m.dec_dims[MARKOV_K]
             )
             assert pm.rep.dims[MARKOV_K] == expected_mk
             ker_beta = t.beta.kernel_basis()
-            cap = reference_intersection(ker_beta, t.alpha.image_basis())
+            cap = reference_intersection(ker_beta, image_basis(t.alpha))
             if cap.cols:
                 assert ker_beta.solve(cap) is not None
                 assert t.alpha.solve(cap) is not None
@@ -142,8 +141,7 @@ def test_beta_alpha_negative_control(markov):
 
 
 def test_pushout_premutation_costs_one_elimination(markov, monkeypatch):
-    # the quotient package of the pushout relations, whose columns are
-    # independent and so are not eliminated again to pick a basis
+    # the quotient package of the pushout relations
     rng = random.Random(151)
     while True:
         rep = random_valid_module(markov, rng, max_dim=3)
@@ -155,8 +153,8 @@ def test_pushout_premutation_costs_one_elimination(markov, monkeypatch):
     assert len(calls) == 1
 
 
-def test_constructions_agree_costs_eleven_eliminations(monkeypatch):
-    # the triangle's 7, the first premutation's module check (1: only b1*
+def test_constructions_agree_costs_ten_eliminations(monkeypatch):
+    # the triangle's 6, the first premutation's module check (1: only b1*
     # and b2* act nonzero, so its nilpotency spans need one echelon, at
     # their tail 2, and their rows times the maps reach no other vertex), the
     # pushout's quotient package and 2 inversions: the amalgam's F is the
@@ -166,11 +164,11 @@ def test_constructions_agree_costs_eleven_eliminations(monkeypatch):
     rep = docio.load_path("fixtures/markov_rep.json")
     calls = count_eliminations(monkeypatch)
     assert constructions_agree(rep, MARKOV_K).ok
-    assert len(calls) == 11
+    assert len(calls) == 10
 
 
 def test_second_constructions_agree_reuses_the_stored_triangle_and_qp(monkeypatch):
-    # of the first call's 11, the triangle's 7 are gone: it is stored on the
+    # of the first call's 10, the triangle's 6 are gone: it is stored on the
     # module.  The output's module check (1), the pushout's quotient package
     # and 2 inversions remain.  The premutations that follow reuse the
     # triangle; only the pushout eliminates, for its quotient package.

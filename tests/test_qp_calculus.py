@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import a2_qp, a3_line_qp, markov_qp, markov_quiver, MARKOV_K
+from conftest import a2_qp, a3_line_qp, from_int_rows, markov_qp, markov_quiver, same_up_to_vertex_fixing_iso, MARKOV_K
 from qpmut import docio
 from qpmut import (
     Arrow,
@@ -25,7 +25,6 @@ from qpmut import (
     premutate_qp,
     premutate_quiver,
     probe_nondegeneracy,
-    same_up_to_vertex_fixing_iso,
     split_reduce,
     substitution_from_images,
 )
@@ -638,8 +637,8 @@ def test_pivot_normal_form_matches_reference(field):
     for _ in range(2000):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         density = rng.choice([0.3, 0.6, 1.0])
-        c = Mat.from_int_rows(field, [[rng.randint(-3, 3) if rng.random() < density else 0
-                                       for _ in range(n)] for _ in range(m)])
+        c = from_int_rows(field, [[rng.randint(-3, 3) if rng.random() < density else 0
+                                   for _ in range(n)] for _ in range(m)])
         x, y, x_inv, y_inv, pivots = _pivot_normal_form(c)
         rx, ry, rpivots = _pivot_normal_form_reference(c)
         assert x @ x_inv == Mat.identity(field, m) == x_inv @ x

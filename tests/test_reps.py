@@ -5,7 +5,10 @@ import random
 
 import pytest
 
-from conftest import a2_qp, count_eliminations, markov_qp, markov_quiver, reference_intersection, MARKOV_K
+from conftest import (
+    a2_qp, count_eliminations, from_int_rows, image_basis, markov_qp, markov_quiver, path_action,
+    reference_intersection, MARKOV_K,
+)
 from qpmut import docio
 from qpmut import (
     GF,
@@ -26,11 +29,10 @@ from qpmut import (
     component_action,
     cyclic_derivative,
     cyclic_normalize,
-    path_action,
     simple_rep,
 )
 from qpmut.generate import random_invertible, random_qp, random_valid_module, truncated_projective
-from qpmut.linalg import coords_in, subspace_package
+from qpmut.linalg import coords_in, kernel_from_rref, subspace_package
 from qpmut.reps import derivative_actions, is_intertwiner, is_isomorphism, path_matrix
 
 
@@ -58,6 +60,26 @@ def test_violating_module_fails_with_witness():
     assert not rpt.ok
     # d/d(c1) = b1 a1 acts by 1 on the 1 -> ... -> 2 route
     assert any("c1" in f for f in rpt.failures)
+
+
+def test_a_dimension_keyed_by_no_vertex_is_rejected():
+    # kept, {99: 4} would make the Markov module's total dimension 7, not 3
+    rep = docio.load_path("fixtures/markov_rep.json")
+    assert rep.total_dim() == 3
+    for dims, dec in (({**rep.dims, 99: 4}, rep.dec_dims), (rep.dims, {**rep.dec_dims, 99: 1})):
+        with pytest.raises(InvariantError, match="dimension given for 99, which is not a vertex"):
+            DecRep(rep.qp, dims, rep.maps, dec)
+
+
+def test_a_map_keyed_by_no_arrow_is_rejected():
+    # kept, the map meant for b1 would leave b1 a zero map, and the module
+    # would still pass check_module
+    rep = docio.load_path("fixtures/markov_rep.json")
+    without_b1 = {a: m for a, m in rep.maps.items() if a != "b1"}
+    assert not rep.maps["b1"].is_zero()
+    assert check_module(DecRep(rep.qp, rep.dims, without_b1, rep.dec_dims)).ok
+    with pytest.raises(InvariantError, match="map given for 'b3', which is not an arrow"):
+        DecRep(rep.qp, rep.dims, {**without_b1, "b3": rep.maps["b1"]}, rep.dec_dims)
 
 
 def test_generated_modules_pass(markov):
@@ -135,8 +157,8 @@ def _brute_nilpotency_index(rep):
 def _random_maps(qp, rng, max_dim):
     """Sparse random maps on random dimensions: many are not nilpotent."""
     dims = {v: rng.randint(0, max_dim) for v in qp.quiver.vertices}
-    maps = {a.id: Mat.from_int_rows(QQ, [[rng.choice([-1, 0, 0, 0, 1]) for _ in range(dims[a.tail])]
-                                         for _ in range(dims[a.head])])
+    maps = {a.id: from_int_rows(QQ, [[rng.choice([-1, 0, 0, 0, 1]) for _ in range(dims[a.tail])]
+                                     for _ in range(dims[a.head])])
             if dims[a.head] else Mat.zero(QQ, 0, dims[a.tail])
             for a in qp.quiver.arrows}
     return DecRep(qp, dims, maps, {v: 0 for v in qp.quiver.vertices})
@@ -333,24 +355,24 @@ def test_triangle_simple_at_vertex(markov):
 
 def _reference_triangle(t):
     """Every derived field of a triangle pack by the general route: solve for
-    coordinates, take retractions from subspace_package, intersect."""
+    coordinates, take gamma's kernel retraction from kernel_from_rref and
+    quotients from subspace_package of bases, intersect."""
     ker_alpha = t.alpha.kernel_basis()
     ker_beta = t.beta.kernel_basis()
     ker_gamma = t.gamma.kernel_basis()
-    im_beta = t.beta.image_basis()
-    im_gamma = t.gamma.image_basis()
-    rho, _, _ = subspace_package(ker_gamma)
-    _, pi1, s1 = subspace_package(coords_in(ker_gamma, im_beta))
+    im_beta = image_basis(t.beta)
+    im_gamma = image_basis(t.gamma)
+    rho = kernel_from_rref(*t.gamma.rref())[1]
+    pi1, s1 = subspace_package(coords_in(ker_gamma, im_beta))
     im_gamma_in_keralpha = coords_in(ker_alpha, im_gamma)
-    _, pi2, sigma = subspace_package(im_gamma_in_keralpha)
-    _, coker_p, coker_sec = subspace_package(im_beta)
+    pi2, sigma = subspace_package(im_gamma_in_keralpha)
+    coker_p, coker_sec = subspace_package(im_beta)
     pre = Mat.identity(t.gamma.field, t.d_out).take_cols(t.gamma.rref()[1])
-    cap = reference_intersection(ker_beta, t.alpha.image_basis())
+    cap = reference_intersection(ker_beta, image_basis(t.alpha))
     return dict(
         ker_alpha=ker_alpha,
         ker_gamma=ker_gamma,
         rho=rho,
-        im_beta=im_beta,
         im_gamma=im_gamma,
         im_gamma_in_keralpha=im_gamma_in_keralpha,
         gamma_in_keralpha=coords_in(ker_alpha, t.gamma),
@@ -405,12 +427,12 @@ def test_triangle_read_offs_match_the_general_derivation(field):
     assert checked >= 60 and nonzero_gamma >= 20
 
 
-def test_triangle_costs_seven_eliminations(monkeypatch):
-    # alpha, beta and gamma, three quotient packages and rank(beta alpha)
+def test_triangle_costs_six_eliminations(monkeypatch):
+    # alpha and gamma, three quotient packages and rank(beta alpha)
     rep = docio.load_path("fixtures/markov_rep.json")
     calls = count_eliminations(monkeypatch)
     build_triangle(rep, MARKOV_K)
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
 def test_triangle_is_built_once_per_module_and_vertex(monkeypatch):
@@ -423,7 +445,7 @@ def test_triangle_is_built_once_per_module_and_vertex(monkeypatch):
     copy = docio.loads(docio.dumps(docio.emit_decrep(rep)))
     calls.clear()  # loading checks the module
     fresh = build_triangle(copy, MARKOV_K)
-    assert fresh is not t and len(calls) == 7
+    assert fresh is not t and len(calls) == 6
     for name, value in vars(t).items():
         assert getattr(fresh, name) == value, name
     assert build_triangle(rep, 1) is not t and build_triangle(rep, 1).k == 1
