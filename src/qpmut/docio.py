@@ -300,6 +300,7 @@ def _parse_potential(payload: Any, space: JetSpace, values: dict) -> Potential:
     terms = payload.get("potential", [])
     _require(isinstance(terms, list), "payload.potential must be a list")
     jet = space.zero()
+    q = space.quiver
     for i, t in enumerate(terms):
         _require(
             isinstance(t, dict)
@@ -307,10 +308,15 @@ def _parse_potential(payload: Any, space: JetSpace, values: dict) -> Potential:
             and all(isinstance(x, str) for x in t["cycle"]),
             f"payload.potential[{i}] needs a cycle of arrow ids",
         )
-        _require(len(t["cycle"]) <= space.order,
+        w = t["cycle"]
+        # each arrow's tail is the head of the next one, the last's of the first
+        _require(w and all(map(q.has_arrow, w))
+                 and all(q.tail(a) == q.head(b) for a, b in zip(w, w[1:] + w[:1])),
+                 f"payload.potential[{i}] is not a cycle of the quiver's arrows")
+        _require(len(w) <= space.order,
                  f"payload.potential[{i}] is longer than the truncation order")
         coeff = _scalar(space.field, t.get("coeff", "1"), f"payload.potential[{i}]", values)
-        jet = jet + space.path(tuple(t["cycle"])).scale(coeff)
+        jet = jet + space.path(tuple(w)).scale(coeff)
     return cyclic_normalize(jet)
 
 

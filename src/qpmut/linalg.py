@@ -10,13 +10,16 @@ transposed in O(1).  ``take_rows`` and ``take_cols`` also cost their index
 lists, ``T``, ``+`` and ``hstack`` the sort of the rows they make, and a
 kernel basis the columns it has (it is the identity at the free columns).
 Only this module sees the dicts; ``nonzeros()`` yields ``(i, j, x)`` for
-every nonzero to other modules.  Every elimination inserts rows into one
-kernel, an ``Echelon``: a new row is cleared at the stored pivots it meets,
-so insertion costs the entries the rows meet, not the matrix's shape.  Rank
-and spans read the echelon as it is; ``rref`` inserts its rows sparsest
-first and then back-substitutes.  The reduced row echelon form is unique:
-every answer is read off one RREF, so every basis, retraction and quotient
-produced here is deterministic whatever the elimination order.  A kernel
+every nonzero to other modules.  Every elimination in the package inserts
+rows into one kernel, an ``Echelon``: a new row is cleared at the stored
+pivots it meets, so insertion costs the entries the rows meet, not the
+matrix's shape.  Rank, spans and the splitting's pivot normal form read the
+echelon as it is; ``rref`` inserts its rows sparsest first and then
+back-substitutes.  The normal form's inverses, L^-1 of the splitting, are
+two ``inverse`` calls, each checked by its product.  The reduced row echelon
+form is unique: every answer is read off one RREF, so every basis,
+retraction and quotient produced here is deterministic whatever the
+elimination order.  A kernel
 basis comes with its retraction: the basis is the identity at the free
 columns, so the identity's rows at those columns give the coordinates of any
 kernel vector.  The complement of a subspace is spanned by the standard
@@ -70,6 +73,13 @@ class Mat:
     def identity(field: Field, n: int) -> "Mat":
         one = field.one
         return Mat._of(field, {i: {i: one} for i in range(n)}, n, n)
+
+    @staticmethod
+    def unit_columns(field: Field, n: int, idx: list[int]) -> "Mat":
+        """The identity's columns ``idx`` (ascending, in range(n)): column c
+        is e_idx[c].  Built from its len(idx) nonzero rows."""
+        one = field.one
+        return Mat._of(field, {j: {c: one} for c, j in enumerate(idx)}, n, len(idx))
 
     # -- reads --------------------------------------------------------
     def entry(self, i: int, j: int):
@@ -349,6 +359,32 @@ class Echelon:
         return Mat._of(self.field, {c: out[p] for c, p in enumerate(pivots)}, rows, cols), pivots
 
 
+def pivot_normal_form(c: Mat):
+    """(X, Y, X^-1, Y^-1, pivots): invertible X, Y with X @ c @ Y a single
+    one at each pivot (i, j) and zero elsewhere, the pivots in row order.
+
+    The rows of [c | J], J the identity with its columns reversed, are
+    inserted in order, so row i is stored as [D_i | X_i], D = X @ c: row i
+    plus the one combination of the rows above it that is zero at their
+    pivots, unique whatever the elimination.  It leads at its pivot column
+    j_i < c.cols, or else, D_i being zero, at its own column of J, which no
+    other stored row touches.  Y^-1 is the identity with row j_i replaced by
+    D_i; X^-1 and Y are ``inverse`` calls, each checked by its product."""
+    fld, m, n, nz = c.field, c.rows, c.cols, c._nz
+    ech = Echelon(fld)
+    for i in range(m):
+        ech.insert({**nz.get(i, {}), n + m - 1 - i: fld.one})
+    x, d, pivots = {}, {}, []
+    for i, (lead, row) in enumerate(ech._piv.items()):
+        x[i] = {n + m - 1 - k: v for k, v in row.items() if k >= n}
+        if lead < n:
+            pivots.append((i, lead))
+            d[lead] = {k: v for k, v in row.items() if k < n}
+    x = Mat._of(fld, x, m, m)
+    y_inv = Mat._of(fld, Mat.identity(fld, n)._nz | d, n, n)
+    return x, y_inv.inverse(), x.inverse(), y_inv, pivots
+
+
 def kernel_from_rref(R: Mat, pivots: list[int]) -> tuple[Mat, Mat]:
     """(basis, retraction) of the null space of any matrix whose RREF is
     (R, pivots).  The basis has one column per free index j, with 1 at j and
@@ -441,8 +477,7 @@ def subspace_package(span: Mat) -> tuple[Mat, Mat]:
         for k, x in w.items():
             if k != p:
                 proj[free[last - k]][last - p] = -x
-    section = {c: {j: field.one} for c, j in free.items()}
-    return Mat._of(field, proj, len(free), span.rows), Mat._of(field, section, span.rows, len(free))
+    return Mat._of(field, proj, len(free), span.rows), Mat.unit_columns(field, span.rows, list(free))
 
 
 def coords_in(basis: Mat, vectors: Mat) -> Mat:

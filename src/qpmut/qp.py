@@ -1,16 +1,16 @@
 """Quivers with potential: premutation, reduction (splitting) and mutation.
 
 The splitting algorithm normalizes the degree-2 part of the potential into
-distinct opposite pairs by exact Gaussian elimination on the pairing matrix;
-the elimination records the inverse L^-1 of this linear change of arrows L
-as it runs.  It then builds the reduced part and the splitting substitution
-together, degree by degree, keeping the discrepancy
-delta = S1 - chi(S_triv) - S_red between the normalized potential and the
-split one up to date: at delta's least degree, each cycle that touches a
-trivial arrow is absorbed into a correction of that arrow's partner, every
-other cycle joins the reduced part, and delta loses those cycles and gains
-the change in the images of the trivial terms.  Each round clears one
-degree, so at most N rounds run.  The splitting is phi = L^-1 o chi, where
+distinct opposite pairs by a linear change of arrows L, read off one echelon
+of each pairing matrix (``linalg.pivot_normal_form``); L^-1 comes from two
+inverses, each checked by its product.  It then builds the reduced part and
+the splitting substitution together, degree by degree, keeping the
+discrepancy delta = S1 - chi(S_triv) - S_red between the normalized
+potential and the split one up to date: at delta's least degree, each cycle
+that touches a trivial arrow is absorbed into a correction of that arrow's
+partner, every other cycle joins the reduced part, and delta loses those
+cycles and gains the change in the images of the trivial terms.  Each round
+clears one degree, so at most N rounds run.  The splitting is phi = L^-1 o chi, where
 chi is the correction built in those rounds.
 The output is never trusted: a SplitResult carries a certificate verifying
 all of its defining properties, including that the splitting carries
@@ -38,7 +38,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .jets import JetPoly, JetSpace
-from .linalg import Mat
+from .linalg import Mat, pivot_normal_form
 from .quiver import Arrow, Path, Quiver
 from .subst import (
     ArrowSubstitution,
@@ -197,72 +197,30 @@ def _degree2_pairing(qp: QP):
     fld = qp.field
     classes = q.parallel_classes
     at = {aid: n for ids in classes.values() for n, aid in enumerate(ids)}
-    cells: dict[tuple[int, int], list[list]] = {}
+    cells: dict[tuple[int, int], list[dict]] = {}
+    # each 2-cycle is one term of the normalized potential: one entry each
     for p, c in qp.potential.degree2_part().terms().items():
         x, y = p.arrows
         if q.tail(x) > q.head(x):  # x in the B class: the A arrow is y
             x, y = y, x
         key = (q.tail(x), q.head(x))
         if key not in cells:
-            cells[key] = [[fld.zero] * len(classes[key[::-1]]) for _ in classes[key]]
-        cells[key][at[x]][at[y]] += c
-    return {key: (classes[key], classes[key[::-1]], Mat(fld, rows)) for key, rows in cells.items()}
-
-
-def _pivot_normal_form(c: Mat):
-    """Invertible X, Y with X @ c @ Y having a single 1 at each pivot position
-    and zeros elsewhere, together with X^-1 and Y^-1; pivots are chosen
-    row-major, keeping their indices.
-
-    Once row i is processed its pivot column is zero in every other row, so
-    the next pivot is the first nonzero of its row and only the rows below
-    need clearing.  Y is kept transposed, so its column operations are row
-    operations.  The inverses record each operation undone: a row operation
-    on X is a column operation on X^-1, kept transposed as Y is, and a column
-    operation on Y is a row operation on Y^-1."""
-    fld = c.field
-    m, n = c.rows, c.cols
-    d = [list(r) for r in c.data]
-
-    def eye(k: int) -> list[list]:
-        return [list(r) for r in Mat.identity(fld, k).data]
-
-    x, xt_inv, yt, y_inv = eye(m), eye(m), eye(n), eye(n)
-    pivots: list[tuple[int, int]] = []
-    for i in range(m):
-        j = next((jj for jj, v in enumerate(d[i]) if v), None)
-        if j is None:
-            continue
-        piv = d[i][j]
-        inv = fld.inv(piv)
-        d[i] = [v * inv for v in d[i]]
-        x[i] = [v * inv for v in x[i]]
-        xt_inv[i] = [v * piv for v in xt_inv[i]]
-        for r in range(i + 1, m):
-            f = d[r][j]
-            if f:
-                d[r] = [v - f * w for v, w in zip(d[r], d[i])]
-                x[r] = [v - f * w for v, w in zip(x[r], x[i])]
-                xt_inv[i] = [v + f * w for v, w in zip(xt_inv[i], xt_inv[r])]
-        for cc in range(j + 1, n):
-            f = d[i][cc]
-            if f:
-                yt[cc] = [v - f * w for v, w in zip(yt[cc], yt[j])]
-                y_inv[j] = [v + f * w for v, w in zip(y_inv[j], y_inv[cc])]
-        pivots.append((i, j))
-    return Mat(fld, x), Mat(fld, yt).T, Mat(fld, xt_inv).T, Mat(fld, y_inv), pivots
+            cells[key] = [{} for _ in classes[key]]
+        cells[key][at[x]][at[y]] = c
+    return {key: (classes[key], classes[key[::-1]], Mat.from_rows(fld, rows, len(classes[key[::-1]])))
+            for key, rows in cells.items()}
 
 
 def _linear_normalization(qp: QP):
     """Step 3 of the reduction: a degree-preserving substitution making the
-    degree-2 part a sum of distinct opposite pairs, and its inverse, read off
-    the same elimination; returns (subst, inverse, pairs)."""
+    degree-2 part a sum of distinct opposite pairs, and its inverse, from
+    one normal form per pairing matrix; returns (subst, inverse, pairs)."""
     space = qp.space
     images: dict[str, JetPoly] = {}
     inv_images: dict[str, JetPoly] = {}
     pairs: list[tuple[str, str]] = []
     for (_, _), (a_ids, b_ids, c) in sorted(_degree2_pairing(qp).items()):
-        x, y, x_inv, y_inv, pivots = _pivot_normal_form(c)
+        x, y, x_inv, y_inv, pivots = pivot_normal_form(c)
         pairs.extend((a_ids[i], b_ids[j]) for i, j in pivots)
         # psi(u_i) = sum_i' X[i'][i] u_i',  psi(v_j) = sum_j' Y[j][j'] v_j'
         images |= linear_images(space, a_ids, x) | linear_images(space, b_ids, y.T)
@@ -406,20 +364,11 @@ def _is_trivial_qp(qp: QP) -> bool:
         return not qp.quiver.arrows
     if any(p.length != 2 for p in pot.terms()):
         return False
-    fld = qp.field
-    ids = [a.id for a in qp.quiver.arrows]
-    index = {aid: i for i, aid in enumerate(ids)}
-    cols = []
-    for a in qp.quiver.arrows:
-        d = cyclic_derivative(pot, a.id)
-        if any(p.length != 1 for p in d.terms):
-            continue
-        vec = [fld.zero] * len(ids)
-        for p, c in d.terms.items():
-            vec[index[p.arrows[0]]] = vec[index[p.arrows[0]]] + c
-        cols.append(vec)
-    span = Mat.from_rows(fld, [{c: col[i] for c, col in enumerate(cols)} for i in range(len(ids))], len(cols))
-    return span.rank() == len(ids)
+    arrows = qp.quiver.arrows
+    index = {a.id: i for i, a in enumerate(arrows)}
+    # one row per cyclic derivative; every term has length 2, so each is an arrow
+    rows = [{index[p.arrows[0]]: c for p, c in cyclic_derivative(pot, a.id).terms.items()} for a in arrows]
+    return Mat.from_rows(qp.field, rows, len(arrows)).rank() == len(arrows)
 
 
 def require_mutable(qp: QP, k: int) -> None:

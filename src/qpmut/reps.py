@@ -273,7 +273,7 @@ class TrianglePack:
         self.gamma_in_imgamma = r_gamma.take_rows(list(range(len(piv_gamma))))
         # im gamma coords -> M_out, the standard basis vectors at gamma's
         # pivot columns (gamma @ s_section = im_gamma, rho @ s_section = 0)
-        self.s_section = Mat.identity(fld, d_out).take_cols(piv_gamma)
+        self.s_section = Mat.unit_columns(fld, d_out, piv_gamma)
         self.composites = {composite_name(b, a): maps[b] @ maps[a] for b in outs for a in ins}
 
 

@@ -128,13 +128,13 @@ def _linear_part_blocks(phi: ArrowSubstitution):
     blocks = {}
     for key, ids in phi.source.parallel_classes.items():
         cols = targets.get(key, [])
-        mat = [[phi.field.zero for _ in ids] for _ in cols]
+        at = {aid: i for i, aid in enumerate(cols)}
+        rows: list[dict] = [{} for _ in cols]
         for j, aid in enumerate(ids):
             for p, c in phi.images[aid].terms.items():
                 if p.length == 1:
-                    i = cols.index(p.arrows[0])
-                    mat[i][j] = mat[i][j] + c
-        blocks[key] = (ids, cols, mat)
+                    rows[at[p.arrows[0]]][j] = c
+        blocks[key] = (ids, cols, Mat.from_rows(phi.field, rows, len(ids)))
     return blocks
 
 
@@ -144,7 +144,6 @@ def invert_substitution(phi: ArrowSubstitution) -> ArrowSubstitution:
     if phi.source != phi.target_space.quiver:
         raise ContextError("only substitutions of a quiver into itself are inverted")
     space = phi.target_space
-    field = phi.field
 
     # invert the linear part blockwise
     lin_inv_images: dict[str, JetPoly] = {}
@@ -152,7 +151,7 @@ def invert_substitution(phi: ArrowSubstitution) -> ArrowSubstitution:
         if ids != cols:
             raise ContextError("source and target parallel classes differ")
         try:
-            inv = Mat(field, mat).inverse()
+            inv = mat.inverse()
         except NotInvertibleError:
             raise NotInvertibleError(f"singular linear part on class {key}") from None
         lin_inv_images |= linear_images(space, ids, inv)

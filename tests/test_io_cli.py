@@ -432,10 +432,15 @@ def _set(*path_and_value):
     (_set("payload", "qp", "arrows", 0, "tail", True), "tail/head"),
     (_set("payload", "qp", "arrows", 0, "head", True), "tail/head"),
     (_set("payload", "qp", "potential", 0, "cycle", ["c", ["b"], "a"]), "cycle of arrow ids"),
+    (_set("payload", "qp", "potential", 0, "cycle", []), "payload.potential[0] is not a cycle"),
+    (_set("payload", "qp", "potential", 0, "cycle", ["a", "a"]), "payload.potential[0] is not a cycle"),
+    (_set("payload", "qp", "potential", 0, "cycle", ["zz"]), "payload.potential[0] is not a cycle"),
+    (_set("payload", "qp", "potential", 0, "cycle", ["b", "a"]), "payload.potential[0] is not a cycle"),
 ], ids=[
     "version-bool", "field-int", "field-null", "dims-float", "dims-bool", "decdims-float",
     "decdims-bool", "dims-unknown-vertex", "decdims-unknown-vertex", "vertex-bool", "tail-bool",
-    "head-bool", "cycle-non-string",
+    "head-bool", "cycle-non-string", "cycle-empty", "cycle-not-composable", "cycle-unknown-arrow",
+    "cycle-open-path",
 ])
 def test_malformed_document_is_schema_error(tmp_path, change, match):
     docio.parse(_doc_with_scalar("Q", "1", "matrix"))  # the unchanged document parses

@@ -710,6 +710,25 @@ def test_from_rows_drops_zeros_and_checks_columns():
         Mat.from_rows(QQ, [{3: 1}], 3)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+def test_unit_columns_are_the_identity_s_columns(field):
+    rng = random.Random(29)
+    for n in range(7):
+        for _ in range(10):
+            idx = sorted(rng.sample(range(n), rng.randint(0, n)))
+            m = Mat.unit_columns(field, n, idx)
+            assert m == Mat.identity(field, n).take_cols(idx)
+            assert list(m._nz) == idx  # ascending row order
+
+
+def test_the_reduction_builds_no_dense_matrix():
+    # qp and subst build their matrices from the nonzeros (Mat.from_rows)
+    for name in ("qp.py", "subst.py"):
+        calls = [n for n in ast.walk(ast.parse((SRC / name).read_text()))
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Mat"]
+        assert calls == [], name
+
+
 # -- the storage boundary ----------------------------------------------------
 SRC = Path(__file__).resolve().parent.parent / "src" / "qpmut"
 

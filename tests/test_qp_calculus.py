@@ -31,9 +31,9 @@ from qpmut import (
 from qpmut import qp as qp_module, subst
 from qpmut.fields import GF
 from qpmut.generate import _random_cycles, random_qp
-from qpmut.linalg import Mat
+from qpmut.linalg import Mat, pivot_normal_form
 from qpmut.mutation import double_premutation_equiv, double_premutation_potential_identity
-from qpmut.qp import _linear_normalization, _pivot_normal_form
+from qpmut.qp import _linear_normalization
 from qpmut.subst import compose_substitutions, identity_substitution, invert_substitution
 
 
@@ -631,23 +631,36 @@ def _pivot_normal_form_reference(c):
     return x, y, pivots
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)])
 def test_pivot_normal_form_matches_reference(field):
     rng = random.Random(404)
+    cases = [
+        Mat.zero(field, 0, 0), Mat.zero(field, 0, 3), Mat.zero(field, 3, 0),
+        # a zero row, and a dependent one, between two pivot rows
+        from_int_rows(field, [[1, 2, 0], [0, 0, 0], [3, 1, 1]]),
+        from_int_rows(field, [[1, 2, 0], [2, 4, 0], [0, 1, 1]]),
+    ]
+    # the Markov premutation's pairing of the four composites with c1, c2
+    (pairing,) = (c for _, _, c in qp_module._degree2_pairing(
+        premutate_qp(markov_qp(field=field), MARKOV_K)).values())
+    assert (pairing.rows, pairing.cols, pairing.rank()) == (4, 2, 2)
+    cases.append(pairing)
     for _ in range(2000):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         density = rng.choice([0.3, 0.6, 1.0])
-        c = from_int_rows(field, [[rng.randint(-3, 3) if rng.random() < density else 0
-                                   for _ in range(n)] for _ in range(m)])
-        x, y, x_inv, y_inv, pivots = _pivot_normal_form(c)
+        cases.append(from_int_rows(field, [[rng.randint(-3, 3) if rng.random() < density else 0
+                                            for _ in range(n)] for _ in range(m)]))
+    for c in cases:
+        m, n = c.rows, c.cols
+        x, y, x_inv, y_inv, pivots = pivot_normal_form(c)
         rx, ry, rpivots = _pivot_normal_form_reference(c)
         assert x @ x_inv == Mat.identity(field, m) == x_inv @ x
         assert y @ y_inv == Mat.identity(field, n) == y_inv @ y
         assert pivots == rpivots
         assert [[str(v) for v in r] for r in x.data] == [[str(v) for v in r] for r in rx]
         assert [[str(v) for v in r] for r in y.data] == [[str(v) for v in r] for r in ry]
-        normal = [[field.one if (i, j) in pivots else field.zero for j in range(n)] for i in range(m)]
-        assert x @ c @ y == Mat(field, normal)
+        normal = Mat.from_rows(field, [{j: field.one for i2, j in pivots if i2 == i} for i in range(m)], n)
+        assert x @ c @ y == normal
 
 
 def test_linear_normalization_carries_its_inverse():
