@@ -18,6 +18,7 @@ from qpmut import (
     check_beta_alpha,
     check_module,
     constructions_agree,
+    docio,
     is_isomorphic,
     mutate_rep,
     negative_simple_rep,
@@ -25,10 +26,7 @@ from qpmut import (
 )
 from qpmut.generate import random_valid_module
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from conftest import markov_qp
-
-qp = markov_qp()
+qp = docio.load_path(os.path.join(os.path.dirname(__file__), "..", "fixtures", "markov.json"))
 rng = random.Random(7)
 m = random_valid_module(qp, rng, max_dim=3)
 print("module dims:", m.dims, "decorations:", m.dec_dims)

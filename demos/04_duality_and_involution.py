@@ -12,14 +12,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qpmut import duality_witness, is_isomorphic, probe_nondegeneracy
+from qpmut import docio, duality_witness, is_isomorphic, probe_nondegeneracy
 from qpmut.generate import random_valid_module
 from qpmut.mutation import involution_pullback
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from conftest import markov_qp
-
-qp = markov_qp()
+qp = docio.load_path(os.path.join(os.path.dirname(__file__), "..", "fixtures", "markov.json"))
 rng = random.Random(12)
 m = random_valid_module(qp, rng, max_dim=3)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import NotCyclicError
 from .jets import JetPoly, JetSpace
-from .quiver import Path, Quiver, canonical_rotation, lazy_path
+from .quiver import Path, canonical_rotation, lazy_path, word_path
 
 
 class Potential:
@@ -70,17 +70,13 @@ def cyclically_equivalent(u: JetPoly, v: JetPoly) -> bool:
     return cyclic_normalize(u - v).is_zero()
 
 
-def _word_path(q: Quiver, word: tuple[str, ...]) -> Path:
-    return Path(word, q.tail(word[-1]), q.head(word[0]))
-
-
 def cyclic_derivative(s: Potential, aid: str) -> JetPoly:
     """d/d(aid): for each occurrence of the arrow in a cycle, the rotation of
     the cycle starting right after that occurrence, with the occurrence
     removed.  The quiver has no loops, so what remains is never empty."""
     q = s.space.quiver
     return s.space.sum_terms(
-        (_word_path(q, p.arrows[i + 1 :] + p.arrows[:i]), c)
+        (word_path(q, p.arrows[i + 1 :] + p.arrows[:i]), c)
         for p, c in s.jet.terms.items()
         for i, x in enumerate(p.arrows)
         if x == aid
@@ -95,7 +91,7 @@ def second_derivative(s: Potential, bid: str, aid: str) -> JetPoly:
 
     def complement(w: tuple[str, ...], i: int) -> Path:
         rest = (w + w)[i + 2 : i + len(w)]
-        return _word_path(q, rest) if rest else lazy_path(q.tail(aid))
+        return word_path(q, rest) if rest else lazy_path(q.tail(aid))
 
     return s.space.sum_terms(
         (complement(p.arrows, i), c)
@@ -115,7 +111,7 @@ def reverse_jet(
     acc: dict[Path, object] = {}
     for p, c in u.terms.items():
         word = tuple(ren.get(x, x) for x in reversed(p.arrows))
-        acc[_word_path(q, word)] = c
+        acc[word_path(q, word)] = c
     return JetPoly(target, acc)
 
 

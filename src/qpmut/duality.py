@@ -98,8 +98,7 @@ def duality_witness(rep: DecRep, k: int) -> Report:
         cyclically_equivalent(transported_pot.jet, qpt_op.potential.jet),
     )
 
-    q2 = t.dim_keralpha_mod_imgamma
-    q2d = td.dim_keralpha_mod_imgamma
+    q2, q2d = t.pi2.rows, td.pi2.rows
 
     # The two commuting squares the comparison map must satisfy pin it down:
     # functionals vanishing on the outgoing image descend to the cokernel

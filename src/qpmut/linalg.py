@@ -226,7 +226,7 @@ class Mat:
         if self.rows != self.cols:
             raise ShapeError("only square matrices invert")
         x = self.solve(Mat.identity(self.field, self.rows))
-        if x is None or (self @ x) != Mat.identity(self.field, self.rows):
+        if x is None or not (self @ x).is_identity():
             raise NotInvertibleError("matrix is singular")
         return x
 

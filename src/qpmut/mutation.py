@@ -48,12 +48,11 @@ CONSTRUCTIONS = ("amalgam", "ker_alpha", "coker_beta", "pushout")
 @dataclass
 class PremutedRep:
     """A decorated representation of the premutated QP, remembering how the
-    space at the mutation vertex was assembled: ``amalgam_map`` is the map F
-    from amalgam coordinates onto that space, built when first read."""
+    space at the mutation vertex ``triangle.k`` was assembled: ``triangle``
+    is the triangle it was read off, and ``amalgam_map`` is the map F from
+    amalgam coordinates onto that space, built when first read."""
 
     rep: DecRep
-    k: int
-    construction: str
     triangle: TrianglePack
     make_amalgam_map: Callable[[], Mat] = field(repr=False, compare=False)
 
@@ -65,13 +64,13 @@ class PremutedRep:
     def alpha_bar(self) -> Mat:
         """The reversed outgoing arrows side by side: M_out -> Mbar_k."""
         mats = [self.rep.maps[star_name(b)] for b in self.triangle.out_arrows]
-        return hstack(self.rep.field, mats, rows=self.rep.dims[self.k])
+        return hstack(self.rep.field, mats, rows=self.rep.dims[self.triangle.k])
 
     @property
     def beta_bar(self) -> Mat:
         """The reversed incoming arrows stacked: Mbar_k -> M_in."""
         mats = [self.rep.maps[star_name(a)] for a in self.triangle.in_arrows]
-        return vstack(self.rep.field, mats, cols=self.rep.dims[self.k])
+        return vstack(self.rep.field, mats, cols=self.rep.dims[self.triangle.k])
 
 
 def _construction_blocks(t: TrianglePack, fld, kind: str):
@@ -81,11 +80,7 @@ def _construction_blocks(t: TrianglePack, fld, kind: str):
     onto the construction's amalgam part of Mbar_k; alpha_bar0: M_out -> it,
     beta_bar0: it -> M_in.  The decoration summand is appended by the caller."""
     d_in, d_out = t.d_in, t.d_out
-    q1 = t.dim_kergamma_mod_imbeta
-    rg = t.dim_imgamma
-    ka = t.dim_keralpha
-    q2 = t.dim_keralpha_mod_imgamma
-    c = t.dim_cokerbeta
+    q1, rg, ka, q2, c = t.pi1.rows, t.s_section.cols, t.ker_alpha.cols, t.pi2.rows, t.coker_p.rows
 
     if kind == "amalgam":
         f = lambda: Mat.identity(fld, q1 + rg + q2)
@@ -158,7 +153,7 @@ def premutate_rep(
     make_f = lambda: block_diag(fld, [make_f0(), Mat.identity(fld, vk)])
     # dimension bookkeeping: the new space has as many dimensions as the
     # amalgam has coordinates
-    dbar_k = t.dim_kergamma_mod_imbeta + t.dim_imgamma + t.dim_keralpha_mod_imgamma + vk
+    dbar_k = t.pi1.rows + t.s_section.cols + t.pi2.rows + vk
     if alpha_bar.rows != dbar_k:
         raise CertificateError("dimension bookkeeping failed for the new space")
 
@@ -181,7 +176,7 @@ def premutate_rep(
         off += d
 
     out = DecRep(qpt, dims, maps, dec)
-    pm = PremutedRep(rep=out, k=k, construction=construction, triangle=t, make_amalgam_map=make_f)
+    pm = PremutedRep(rep=out, triangle=t, make_amalgam_map=make_f)
     if require_valid:
         check_module(out).require()
     return pm
@@ -296,13 +291,13 @@ def transport_iso(
     lift_m = f_in @ (tm.ker_alpha @ tm.sigma)
     lift_n = tn.ker_alpha @ (tn.sigma @ f_in_bar)
     diff = lift_m - lift_n
-    diff_in_img = coords_in(tn.im_gamma, diff)
+    diff_in_img = coords_in(tn.gamma @ tn.s_section, diff)
     eps = tn.coker_p @ (tn.s_section @ diff_in_img)
 
     fk = block_diag(fld, [
         block_matrix(fld, [
             [f_out_bar, eps],
-            [Mat.zero(fld, tn.dim_keralpha_mod_imgamma, tm.dim_cokerbeta), f_in_bar],
+            [Mat.zero(fld, tn.pi2.rows, tm.coker_p.rows), f_in_bar],
         ]),
         Mat.identity(fld, m_from.dec_dims[k]),
     ])

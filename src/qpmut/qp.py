@@ -39,7 +39,7 @@ from .errors import (
 )
 from .jets import JetPoly, JetSpace
 from .linalg import Mat, pivot_normal_form
-from .quiver import Arrow, Path, Quiver
+from .quiver import Arrow, Path, Quiver, word_path
 from .subst import (
     ArrowSubstitution,
     apply_substitution,
@@ -158,7 +158,7 @@ def bracket_substitute(s: Potential, k: int, target: JetSpace) -> Potential:
                     word_l.append(w[i])
                     i += 1
             word = tuple(word_l)
-        terms.append((Path(word, tq.tail(word[-1]), tq.head(word[0])), c))
+        terms.append((word_path(tq, word), c))
     return cyclic_normalize(target.sum_terms(terms))
 
 
@@ -272,7 +272,7 @@ def split_reduce(qp: QP) -> SplitResult:
         partner."""
         w = p.arrows
         lead, *rest = min(w[i:] + w[:i] for i in range(len(w)) if w[i] in trivial_ids)
-        piece = Path(tuple(rest), q.tail(rest[-1]), q.head(rest[0]))
+        piece = word_path(q, tuple(rest))
         aid = partner[lead]
         acc[aid] = acc.get(aid, space.zero()) + JetPoly(space, {piece: c})
 

@@ -154,6 +154,12 @@ def lazy_path(v: int) -> Path:
     return Path((), v, v)
 
 
+def word_path(quiver: Quiver, word: tuple[str, ...]) -> Path:
+    """The path of a nonempty word of arrow ids (rightmost arrow first),
+    without checking that the word composes."""
+    return Path(word, quiver.tail(word[-1]), quiver.head(word[0]))
+
+
 def path_from_arrows(quiver: Quiver, arrows: tuple[str, ...] | list[str]) -> Path:
     """Build a path from a word of arrow ids, checking composability."""
     word = tuple(arrows)
@@ -164,7 +170,7 @@ def path_from_arrows(quiver: Quiver, arrows: tuple[str, ...] | list[str]) -> Pat
             raise CompositionError(
                 f"arrows {word[i]!r} and {word[i+1]!r} do not compose"
             )
-    return Path(word, quiver.tail(word[-1]), quiver.head(word[0]))
+    return word_path(quiver, word)
 
 
 def compose_paths(p: Path, q: Path) -> Path:
@@ -189,4 +195,4 @@ def canonical_rotation(quiver: Quiver, p: Path) -> Path:
     best = min(w[r:] + w[:r] for r in range(len(w)))
     if best == w:
         return p
-    return Path(best, quiver.tail(best[-1]), quiver.head(best[0]))
+    return word_path(quiver, best)

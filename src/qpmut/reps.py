@@ -208,6 +208,10 @@ class TrianglePack:
     maps are written in the displayed coordinate systems.  Two eliminations
     (of alpha and gamma), three quotient packages (of the column spans of
     beta, rho @ beta and gamma_in_keralpha) and one rank make the whole pack.
+    A size is read off the shape of the matrix it describes (rank gamma is
+    ``s_section.cols``, dim coker beta ``coker_p.rows``); only d_in and
+    d_out, by which alpha, beta and gamma are stacked, and
+    dim_new_decoration are stored as numbers.
     Last come the composites M_b @ M_a for each arrow a into k and b out of
     k, the premutated module's maps [ba], made once here and shared by every
     premutation of the module at k.
@@ -247,32 +251,27 @@ class TrianglePack:
         # pivot columns)
         self.ker_alpha, ret_alpha = kernel_from_rref(r_alpha, piv_alpha)
         self.ker_gamma, self.rho = kernel_from_rref(r_gamma, piv_gamma)
-        # the pivot columns of gamma
-        self.im_gamma = gamma.take_cols(piv_gamma)
-        self.dim_imgamma = len(piv_gamma)
-        self.dim_keralpha = self.ker_alpha.cols
 
-        # alpha's kernel retraction applied to gamma and im_gamma (exact, since alpha gamma = 0)
+        # alpha's kernel retraction applied to gamma and to gamma's pivot
+        # columns, a basis of im gamma (exact, since alpha gamma = 0)
         self.gamma_in_keralpha = ret_alpha @ gamma
         self.im_gamma_in_keralpha = self.gamma_in_keralpha.take_cols(piv_gamma)
         # quotient package of rho @ beta inside ker gamma (exact, since
         # gamma beta = 0): (ker gamma / im beta) coords
         self.pi1, self.s1 = subspace_package(self.rho @ beta)
-        self.dim_kergamma_mod_imbeta = self.pi1.rows
         # quotient package of gamma_in_keralpha: (ker alpha / im gamma) coords
         self.pi2, self.sigma = subspace_package(self.gamma_in_keralpha)
-        self.dim_keralpha_mod_imgamma = self.pi2.rows
         # quotient package of im beta in M_out
         self.coker_p, self.coker_sec = subspace_package(beta)
-        self.dim_cokerbeta = self.coker_p.rows
 
         # dim ker beta / (ker beta & im alpha), where rank beta = d_out - dim coker beta
         # and dim (ker beta & im alpha) = rank alpha - rank(beta alpha)
-        self.dim_new_decoration = dk - (d_out - self.dim_cokerbeta) - len(piv_alpha) + (beta @ alpha).rank()
+        self.dim_new_decoration = dk - (d_out - self.coker_p.rows) - len(piv_alpha) + (beta @ alpha).rank()
         # the nonzero rows of gamma's RREF
         self.gamma_in_imgamma = r_gamma.take_rows(list(range(len(piv_gamma))))
         # im gamma coords -> M_out, the standard basis vectors at gamma's
-        # pivot columns (gamma @ s_section = im_gamma, rho @ s_section = 0)
+        # pivot columns (gamma @ s_section is gamma's pivot columns, a basis
+        # of im gamma, and rho @ s_section = 0)
         self.s_section = Mat.unit_columns(fld, d_out, piv_gamma)
         self.composites = {composite_name(b, a): maps[b] @ maps[a] for b in outs for a in ins}
 

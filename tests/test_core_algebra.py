@@ -22,7 +22,7 @@ from qpmut import (
     second_derivative,
     substitution_from_images,
 )
-from qpmut.quiver import Arrow, Path, Quiver, canonical_rotation
+from qpmut.quiver import Arrow, Path, Quiver, canonical_rotation, word_path
 
 
 def rotations(quiver: Quiver, p: Path) -> list[Path]:
@@ -67,6 +67,16 @@ def test_compose_mismatch_raises():
     q = markov_quiver()
     with pytest.raises(CompositionError):
         compose_paths(path_from_arrows(q, ("a1",)), path_from_arrows(q, ("b1",)))
+
+
+def test_word_path_builds_the_path_without_checking_the_word():
+    q = markov_quiver()
+    assert word_path(q, ("c1", "b1")) == path_from_arrows(q, ("c1", "b1"))
+    # b1 ends at 2 and a1 starts at 1, so only path_from_arrows refuses the word
+    with pytest.raises(CompositionError):
+        path_from_arrows(q, ("a1", "b1"))
+    p = word_path(q, ("a1", "b1"))
+    assert (p.arrows, p.tail, p.head) == (("a1", "b1"), 3, 3)
 
 
 def _space(order=6):

@@ -465,7 +465,8 @@ def test_cli_rejects_a_non_positive_trunc(tmp_path, trunc):
 
 
 def test_cli_mutate_qp_refuses_a_term_longer_than_trunc(tmp_path, capsys):
-    doc = json.loads(open(fixture("markov.json")).read())
+    with open(fixture("markov.json")) as f:
+        doc = json.load(f)
     doc["payload"]["potential"].append(
         {"coeff": "5", "cycle": ["a1", "c1", "b1", "a2", "c2", "b2"]}
     )

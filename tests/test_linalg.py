@@ -12,7 +12,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import count_eliminations, from_int_rows, image_basis, markov_qp, reference_intersection
-from qpmut import QQ, ShapeError, build_triangle
+from qpmut import QQ, NotInvertibleError, ShapeError, build_triangle
 from qpmut.fields import PrimeField
 from qpmut.generate import random_valid_module
 from qpmut.linalg import (
@@ -362,6 +362,29 @@ def test_solve_and_inverse():
         inv = m.inverse()
         assert m @ inv == Mat.identity(QQ, n)
         assert inv @ m == Mat.identity(QQ, n)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["QQ", "Fp2"])
+def test_inverse_refuses_a_singular_or_non_square_matrix(field):
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(NotInvertibleError):
+            from_int_rows(field, rows).inverse()
+    with pytest.raises(ShapeError):
+        Mat.zero(field, 2, 3).inverse()
+    assert Mat.zero(field, 0, 0).inverse() == Mat.zero(field, 0, 0)
+    # determinant 2: invertible over QQ, singular over GF(2)
+    a = from_int_rows(field, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    if field is QQ:
+        assert a @ a.inverse() == Mat.identity(QQ, 3)
+    else:
+        with pytest.raises(NotInvertibleError):
+            a.inverse()
+
+
+def test_inverse_checks_the_solution_it_is_given(monkeypatch):
+    monkeypatch.setattr(Mat, "solve", lambda self, b: b.scale(QQ.of(2)))
+    with pytest.raises(NotInvertibleError):
+        Mat.identity(QQ, 2).inverse()
 
 
 def test_subspace_package_properties():

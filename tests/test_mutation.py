@@ -82,8 +82,8 @@ def test_dimension_bookkeeping_all_constructions(markov):
             t = pm.triangle
             expected_mk = (
                 (t.ker_gamma.cols - t.beta.rank())
-                + t.im_gamma.cols
-                + (t.ker_alpha.cols - t.im_gamma.cols)
+                + t.gamma.rank()
+                + (t.ker_alpha.cols - t.gamma.rank())
                 + m.dec_dims[MARKOV_K]
             )
             assert pm.rep.dims[MARKOV_K] == expected_mk
@@ -420,8 +420,8 @@ def test_transport_iso_scalar(markov):
     g = {v: Mat.identity(QQ, m.dims[v]).scale(lam) for v in markov.quiver.vertices}
     pm_m, pm_n, f = transport_iso(m, m, g, MARKOV_K)
     t = pm_m.triangle
-    c = t.dim_cokerbeta
-    q2 = t.dim_keralpha_mod_imgamma
+    c = t.coker_p.rows
+    q2 = t.pi2.rows
     # the correction block vanishes for scalar maps
     eps_block = [
         f[MARKOV_K].data[i][c + j] for i in range(c) for j in range(q2)
@@ -529,6 +529,27 @@ def test_deep_markov_walk_golden():
         text = docio.dumps(docio.emit_decrep(rep))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert docio.dumps(docio.emit_decrep(docio.loads(text))) == text
+
+
+# sha256 of docio.dumps(docio.emit_decrep(...)) after the walk 3,1,2,3,1,2
+# from fixtures/markov_rep.json, every step by the given construction;
+# coker_beta and pushout emit the same module
+CONSTRUCTION_WALK_DIGESTS = {
+    "amalgam": "8d0496d137f6ac891d467ebf1df8d399ebb04b63a3aa9155999f95494a261943",
+    "ker_alpha": DEEP_WALK_STEPS[5][1],
+    "coker_beta": "48ce673d7fec367a9cbbeb220e8b4058f7fbd2bfc3593662bd73aca6df9bfca6",
+    "pushout": "48ce673d7fec367a9cbbeb220e8b4058f7fbd2bfc3593662bd73aca6df9bfca6",
+}
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_each_construction_pins_its_full_mutation(construction):
+    rep = docio.load_path(os.path.join(os.path.dirname(__file__), "..", "fixtures", "markov_rep.json"))
+    for k in DEEP_WALK[:6]:
+        rep = mutate_rep(rep, k, construction)
+    assert rep.dims == {1: 63, 2: 105, 3: 37}
+    text = docio.dumps(docio.emit_decrep(rep))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCTION_WALK_DIGESTS[construction]
 
 
 def test_each_module_is_checked_once(monkeypatch):
