@@ -276,7 +276,7 @@ def _parse_header(doc: Any) -> tuple[str, Field, int]:
     return kind, field, trunc
 
 
-def _parse_quiver_payload(payload: Any) -> Quiver:
+def _parse_quiver_payload(payload: Any, where: str) -> Quiver:
     _require(isinstance(payload, dict), "payload must be an object")
     verts = payload.get("vertices")
     _require(isinstance(verts, list) and all(_is_int(v) for v in verts),
@@ -293,7 +293,10 @@ def _parse_quiver_payload(payload: Any) -> Quiver:
             f"payload.arrows[{i}] needs string id and integer tail/head",
         )
         arrows.append(Arrow(a["id"], a["tail"], a["head"]))
-    return Quiver(tuple(verts), tuple(arrows))
+    try:
+        return Quiver(tuple(verts), tuple(arrows))
+    except InvariantError as e:
+        raise SchemaError(f"{where}: {e}") from e
 
 
 def _parse_potential(payload: Any, space: JetSpace, values: dict) -> Potential:
@@ -363,15 +366,15 @@ def parse(doc: dict):
     payload = doc["payload"]
     values: dict = {}
     if kind == "quiver":
-        return _parse_quiver_payload(payload)
+        return _parse_quiver_payload(payload, "payload")
     if kind == "qp":
-        q = _parse_quiver_payload(payload)
+        q = _parse_quiver_payload(payload, "payload")
         space = JetSpace(q, trunc, field)
         return QP(q, _parse_potential(payload, space, values))
     # decrep
     _require(isinstance(payload, dict) and isinstance(payload.get("qp"), dict),
              "decrep payload needs a qp object")
-    q = _parse_quiver_payload(payload["qp"])
+    q = _parse_quiver_payload(payload["qp"], "payload.qp")
     space = JetSpace(q, trunc, field)
     qp = QP(q, _parse_potential(payload["qp"], space, values))
     dims = _parse_dims(payload, "dims", q)
@@ -392,13 +395,19 @@ def parse(doc: dict):
 
 
 def loads(text: str):
+    # JSONDecodeError is a ValueError, as is an integer literal longer than
+    # the interpreter's digit limit; nesting too deep is a RecursionError
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise SchemaError(f"not valid JSON: {e}") from e
     return parse(doc)
 
 
 def load_path(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"not valid UTF-8: {e}") from e
+    return loads(text)

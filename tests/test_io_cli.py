@@ -67,11 +67,12 @@ def test_empty_quiver_document():
 
 
 def test_loop_arrow_rejected():
+    # a quiver fault in a document is a schema error naming its slot
     doc = {
         "kind": "quiver", "version": 1, "field": "Q", "trunc": 12,
         "payload": {"vertices": [1], "arrows": [{"id": "a", "tail": 1, "head": 1}]},
     }
-    with pytest.raises(InvariantError):
+    with pytest.raises(SchemaError, match=re.escape("payload: loop arrow 'a' at vertex 1")):
         docio.parse(doc)
 
 
@@ -436,11 +437,18 @@ def _set(*path_and_value):
     (_set("payload", "qp", "potential", 0, "cycle", ["a", "a"]), "payload.potential[0] is not a cycle"),
     (_set("payload", "qp", "potential", 0, "cycle", ["zz"]), "payload.potential[0] is not a cycle"),
     (_set("payload", "qp", "potential", 0, "cycle", ["b", "a"]), "payload.potential[0] is not a cycle"),
+    # quiver faults: the quiver's own message, after the slot it was read from
+    (_set("payload", "qp", "arrows", 0, "head", 7),
+     "payload.qp: arrow 'a' has endpoint outside the vertex set"),
+    (_set("payload", "qp", "arrows", 0, "head", 1), "payload.qp: loop arrow 'a' at vertex 1"),
+    (_set("payload", "qp", "vertices", [1, 2, 3, 2]), "payload.qp: duplicate vertex ids"),
+    (_set("payload", "qp", "arrows", 1, "id", "a"), "payload.qp: duplicate arrow id 'a'"),
 ], ids=[
     "version-bool", "field-int", "field-null", "dims-float", "dims-bool", "decdims-float",
     "decdims-bool", "dims-unknown-vertex", "decdims-unknown-vertex", "vertex-bool", "tail-bool",
     "head-bool", "cycle-non-string", "cycle-empty", "cycle-not-composable", "cycle-unknown-arrow",
-    "cycle-open-path",
+    "cycle-open-path", "arrow-endpoint-outside", "arrow-loop", "duplicate-vertex",
+    "duplicate-arrow-id",
 ])
 def test_malformed_document_is_schema_error(tmp_path, change, match):
     docio.parse(_doc_with_scalar("Q", "1", "matrix"))  # the unchanged document parses
@@ -451,6 +459,19 @@ def test_malformed_document_is_schema_error(tmp_path, change, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["dualize", "--in", str(path)]) == 2
+
+
+@pytest.mark.parametrize("data", [
+    b"[" * 200_000 + b"]" * 200_000,  # nesting deeper than the decoder recurses
+    b'{"kind": "qp", "version": 1, "trunc": ' + b"1" * 5001 + b', "payload": {}}',
+    b"\xff" + json.dumps(_doc_with_scalar("Q", "1", "matrix")).encode(),  # not UTF-8
+], ids=["deep-nesting", "long-integer", "not-utf8"])
+def test_cli_malformed_bytes_are_a_schema_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main(["dualize", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("trunc", ["0", "-3", "abc"])

@@ -20,9 +20,11 @@ from qpmut import (
     JetSpace,
     Mat,
     MutationNotDefined,
+    NotInvertibleError,
     Potential,
     QQ,
     Quiver,
+    Report,
     TruncationTooSmall,
     build_triangle,
     check_beta_alpha,
@@ -45,6 +47,7 @@ from qpmut.homs import YES
 from qpmut.linalg import block_diag
 from qpmut.mutation import involution_pullback, transport_iso
 from qpmut.qp import composite_name
+from qpmut.reps import is_isomorphism
 
 
 def a2_p1():
@@ -153,30 +156,30 @@ def test_pushout_premutation_costs_one_elimination(markov, monkeypatch):
     assert len(calls) == 1
 
 
-def test_constructions_agree_costs_ten_eliminations(monkeypatch):
+def test_constructions_agree_costs_eight_eliminations(monkeypatch):
     # the triangle's 6, the first premutation's module check (1: only b1*
     # and b2* act nonzero, so its nilpotency spans need one echelon, at
-    # their tail 2, and their rows times the maps reach no other vertex), the
-    # pushout's quotient package and 2 inversions: the amalgam's F is the
-    # identity and is not inverted.  The 6 isomorphisms are identities away
-    # from k and monomial at k (every F of this module is the identity), so
-    # their 18 rank tests need no elimination.
+    # their tail 2, and their rows times the maps reach no other vertex) and
+    # the pushout's quotient package.  No F is inverted.  The 3 isomorphisms
+    # out of the amalgam are identities away from k and F at k, monomial
+    # here (every F of this module is the identity), so their 9 rank tests
+    # need no elimination.
     rep = docio.load_path("fixtures/markov_rep.json")
     calls = count_eliminations(monkeypatch)
     assert constructions_agree(rep, MARKOV_K).ok
-    assert len(calls) == 10
+    assert len(calls) == 8
 
 
 def test_second_constructions_agree_reuses_the_stored_triangle_and_qp(monkeypatch):
-    # of the first call's 10, the triangle's 6 are gone: it is stored on the
-    # module.  The output's module check (1), the pushout's quotient package
-    # and 2 inversions remain.  The premutations that follow reuse the
-    # triangle; only the pushout eliminates, for its quotient package.
+    # of the first call's 8, the triangle's 6 are gone: it is stored on the
+    # module.  The output's module check (1) and the pushout's quotient
+    # package remain.  The premutations that follow reuse the triangle; only
+    # the pushout eliminates, for its quotient package.
     rep = docio.load_path("fixtures/markov_rep.json")
     assert constructions_agree(rep, MARKOV_K).ok
     calls = count_eliminations(monkeypatch)
     assert constructions_agree(rep, MARKOV_K).ok
-    assert len(calls) == 4
+    assert len(calls) == 2
     per_kind = []
     for kind in CONSTRUCTIONS:
         calls.clear()
@@ -332,6 +335,114 @@ def test_constructions_agree_random(markov):
         m = random_valid_module(markov, rng, max_dim=3)
         rpt = constructions_agree(m, MARKOV_K)
         assert rpt.ok, rpt.failures
+
+
+def _six_pair_constructions_agree(rep, k):
+    """The reference: every pair of constructions, in string order, with the
+    isomorphism F_to @ F_from^-1 at k and the identity away from k."""
+    pms = {
+        kind: premutate_rep(rep, k, kind, require_valid=(kind == CONSTRUCTIONS[0]))
+        for kind in CONSTRUCTIONS
+    }
+    ident = {v: Mat.identity(rep.field, rep.dims[v]) for v in rep.qp.quiver.vertices if v != k}
+    inverses = {"amalgam": pms["amalgam"].amalgam_map}
+    rpt = Report("constructions_agree")
+    for kind1 in CONSTRUCTIONS:
+        for kind2 in CONSTRUCTIONS:
+            if kind1 >= kind2:
+                continue
+            name = f"{kind1}->{kind2} is an isomorphism"
+            if kind1 not in inverses:
+                try:
+                    inverses[kind1] = pms[kind1].amalgam_map.inverse()
+                except NotInvertibleError:
+                    inverses[kind1] = None
+            if inverses[kind1] is None:
+                rpt.note(name, False)
+                continue
+            m_from, m_to = pms[kind1].rep, pms[kind2].rep
+            f_k = pms[kind2].amalgam_map @ inverses[kind1]
+            f = {v: (f_k if v == k else ident[v]) for v in m_from.qp.quiver.vertices}
+            rpt.note(name, is_isomorphism(m_from, m_to, f))
+    return rpt
+
+
+def _mutant(name):
+    """``_construction_blocks`` with one fault, or as it is for "none"."""
+    import qpmut.mutation as mutmod
+
+    blocks = mutmod._construction_blocks
+
+    def signs(fld, n_minus, n_plus):
+        return block_diag(fld, [-Mat.identity(fld, n_minus), Mat.identity(fld, n_plus)])
+
+    def mutated(t, fld, kind):
+        make_f, alpha_bar, beta_bar = blocks(t, fld, kind)
+        if name == "alpha-sign" and kind == "ker_alpha":
+            # the sign of alpha_bar's first block: a change of basis at k
+            # that only F, unchanged, does not follow
+            q1 = t.pi1.rows
+            alpha_bar = signs(fld, q1, alpha_bar.rows - q1) @ alpha_bar
+        elif name == f"singular-{kind}":
+            def make_f(f=make_f):  # F with its first column zeroed
+                f0 = f()
+                if not f0.cols:
+                    return f0
+                return f0 @ block_diag(fld, [Mat.zero(fld, 1, 1), Mat.identity(fld, f0.cols - 1)])
+        elif name == "beta-bar" and kind == "amalgam":
+            # the ker alpha / im gamma block negated: still a module, as alpha_bar
+            # is zero there, but no longer the one each F maps from
+            q2 = t.pi2.rows
+            beta_bar = beta_bar @ -signs(fld, beta_bar.cols - q2, q2)
+        return make_f, alpha_bar, beta_bar
+
+    return mutated
+
+
+MUTANTS = ["none", "alpha-sign", "singular-ker_alpha", "singular-coker_beta", "singular-pushout",
+           "beta-bar"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "Fp5"])
+def test_hub_gives_the_six_pair_verdict(field, monkeypatch):
+    # the three isomorphisms out of the amalgam are among the reference's six,
+    # and when they hold every F_Y @ F_X^-1 is an isomorphism X -> Y
+    import qpmut.mutation as mutmod
+
+    rng = random.Random(307)
+    qps = [markov_qp(field=field)] * 6
+    qps += [random_qp(rng, max_vertices=4, max_arrows=6, max_terms=4, max_len=4, field=field)
+            for _ in range(6)]
+    cases = []
+    for qp in qps:
+        try:
+            m = random_valid_module(qp, rng, max_dim=3)
+        except RuntimeError:
+            continue
+        cases += [(m, k) for k in qp.quiver.vertices if not qp.quiver.has_two_cycle_at(k)]
+    assert len(cases) >= 25
+    arrows = [f"amalgam->{kind}" for kind in CONSTRUCTIONS[1:]]
+    failing = {}
+    for name in MUTANTS:
+        monkeypatch.setattr(mutmod, "_construction_blocks", _mutant(name))
+        failing[name] = 0
+        for m, k in cases:
+            hub, ref = constructions_agree(m, k), _six_pair_constructions_agree(m, k)
+            assert hub.ok == ref.ok, (name, hub.failures, ref.failures)
+            assert set(hub.failures) <= set(ref.failures)
+            assert list(hub.witness) == arrows
+            assert [c for c, _ in hub.checks] == [f"{a} is an isomorphism" for a in arrows]
+            failing[name] += not hub.ok
+            if not hub.ok:
+                continue
+            pms = {kind: premutate_rep(m, k, kind) for kind in CONSTRUCTIONS}
+            for x, y in itertools.permutations(CONSTRUCTIONS, 2):
+                f_k = pms[y].amalgam_map @ pms[x].amalgam_map.inverse()
+                f = {v: (f_k if v == k else Mat.identity(field, m.dims[v]))
+                     for v in m.qp.quiver.vertices}
+                assert is_isomorphism(pms[x].rep, pms[y].rep, f), (name, x, y)
+    assert failing["none"] == 0
+    assert all(failing[name] for name in MUTANTS[1:]), failing
 
 
 def test_pullback_forgetful_on_markov(markov):
